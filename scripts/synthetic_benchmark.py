@@ -12,6 +12,7 @@ or --dim for a bigger run.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 from pathlib import Path
@@ -64,7 +65,7 @@ def main() -> int:
     seeds = range(args.seeds)
     print(f"graph: {g.node_count} nodes, {g.edge_count} edges, "
           f"{args.blocks} planted blocks")
-    print(f"config: {config.to_dict()}")
+    print(f"config: {dataclasses.asdict(config)}")
     print(f"seeds: {list(seeds)}  motif mode: {args.mode}\n")
 
     rows: list[dict] = []

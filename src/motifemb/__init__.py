@@ -34,8 +34,6 @@ from .graph import (
 )
 from .line import train_line
 from .motifs import (
-    TRIANGLE,
-    MotifSpec,
     MotifStats,
     TransitionModel,
     WeightedAdjacency,
@@ -79,8 +77,6 @@ __all__ = [
     "parse_edge_list",
     "write_edge_list",
     "train_line",
-    "TRIANGLE",
-    "MotifSpec",
     "MotifStats",
     "TransitionModel",
     "WeightedAdjacency",

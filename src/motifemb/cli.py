@@ -1,10 +1,14 @@
 """Command-line interface.
 
 Subcommands: stats, motifs, embed, linkpred, cluster. Shared flags: --input,
---config, --seed, --out, --format {json,csv}. A config file holds flat
-key=value lines mirroring RunConfig one-to-one; explicit command-line flags
-override file values, which override defaults. Exit code 0 on success, 2 on
-bad input (unparseable graph, unknown names, missing files).
+--config, --seed, --out, --format {json,csv}. RunConfig (the TrainConfig
+hyperparameters plus run-level fields) is the one declaration of every
+setting: each config-file key and each --flag is a RunConfig field, typed
+and, for Literal fields, restricted to the same choices. A config file holds
+flat key=value lines; explicit command-line flags override file values,
+which override defaults, and the merged values are validated once. Exit code
+0 on success, 2 on bad input (unparseable graph, unknown names or choices,
+missing files).
 """
 from __future__ import annotations
 
@@ -14,16 +18,17 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Literal, get_args, get_origin
 
 import numpy as np
 
-from .config import TrainConfig
+from .config import TrainConfig, field_types
 from .graph import ParseError, graph_stats, load_edge_list, null_model_rewire
 from .motifs import count_triangles
 from .pipeline import (
     ALGORITHMS,
-    MODES,
     VARIANTS,
+    MotifMode,
     embed_graph,
     run_report,
     write_report_csv,
@@ -35,96 +40,65 @@ from .synth import planted_partition
 __all__ = ["RunConfig", "main"]
 
 
-@dataclass
-class RunConfig:
-    """Everything a run needs, flat and file-serializable.
+@dataclass(frozen=True)
+class RunConfig(TrainConfig):
+    """Everything a run needs, flat and file-serializable: the inherited
+    TrainConfig hyperparameters plus the run-level fields below.
 
     List-valued settings (algorithm, variant, seeds) are comma strings so the
     key=value file format stays trivial; accessor methods parse them.
     """
 
     input: str = ""
-    synthetic: str = ""  # "" or "ppm"
+    synthetic: Literal["", "ppm"] = ""
     dataset_name: str = ""
     algorithm: str = "all"
     variant: str = "all"
-    mode: str = "strict"
-    dim: int = 64
-    walks_per_node: int = 10
-    walk_length: int = 40
-    window: int = 5
-    negatives: int = 5
-    epochs: int = 5
-    learning_rate: float = 0.025
-    p: float = 1.0
-    q: float = 1.0
-    line_order: str = "concat"
-    line_samples_factor: int = 100
-    batch_size: int = 2048
-    seed: int = 0
+    mode: MotifMode = "strict"
     seeds: str = ""  # comma list; empty means [seed]
     fraction: float = 0.1
     threshold: str = "median"  # "median" or a float literal
     clusters: int = 2
     null_model: int = 0
     swaps_per_edge: int = 10
-    emb_format: str = "text"  # text | binary
+    emb_format: Literal["text", "binary"] = "text"
     out: str = ""  # empty means stdout
-    format: str = "json"  # json | csv
+    format: Literal["json", "csv"] = "json"
 
     @classmethod
-    def from_file(cls, path) -> "RunConfig":
-        run = cls()
+    def read_file(cls, path) -> dict:
+        """Typed ``{field: value}`` for the key=value lines of a config file."""
+        values = {}
+        types = field_types(cls)
         text = Path(path).read_text()
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
+            where = f"{path}:{lineno}"
             if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            run.set_field(key.strip(), value.strip(), where=f"{path}:{lineno}")
-        return run
+                raise ValueError(f"{where}: expected key=value, got {line!r}")
+            key, _, value = (part.strip() for part in line.partition("="))
+            typ = types.get(key)
+            if typ is None:
+                raise ValueError(f"{where}: unknown config key {key!r}")
+            try:
+                values[key] = typ(value) if typ in (int, float) else value
+            except ValueError:
+                raise ValueError(f"{where}: bad value for {key}: {value!r}") from None
+        return values
+
+    @classmethod
+    def from_file(cls, path) -> "RunConfig":
+        return cls(**cls.read_file(path))
 
     def to_file(self, path) -> None:
-        lines = [f"{f.name}={getattr(self, f.name)}" for f in dataclasses.fields(self)]
+        lines = [f"{k}={v}" for k, v in dataclasses.asdict(self).items()]
         Path(path).write_text("\n".join(lines) + "\n")
 
-    def set_field(self, key: str, value, where: str = "") -> None:
-        by_name = {f.name: f for f in dataclasses.fields(self)}
-        if key not in by_name:
-            raise ValueError(f"{where}: unknown config key {key!r}")
-        typ = by_name[key].type
-        try:
-            if typ == "int":
-                value = int(value)
-            elif typ == "float":
-                value = float(value)
-            else:
-                value = str(value)
-        except (TypeError, ValueError):
-            raise ValueError(f"{where}: bad value for {key}: {value!r}") from None
-        setattr(self, key, value)
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
-
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            dim=self.dim,
-            walks_per_node=self.walks_per_node,
-            walk_length=self.walk_length,
-            window=self.window,
-            negatives=self.negatives,
-            epochs=self.epochs,
-            learning_rate=self.learning_rate,
-            p=self.p,
-            q=self.q,
-            line_order=self.line_order,  # type: ignore[arg-type]
-            line_samples_factor=self.line_samples_factor,
-            batch_size=self.batch_size,
-            seed=self.seed,
-        )
+        return TrainConfig(**{f.name: getattr(self, f.name)
+                              for f in dataclasses.fields(TrainConfig)})
 
     def seed_list(self) -> list[int]:
         if not self.seeds:
@@ -158,8 +132,6 @@ class RunConfig:
 def _load_graph(run: RunConfig):
     """(graph, dataset name) from --input or the synthetic generator."""
     if run.synthetic:
-        if run.synthetic != "ppm":
-            raise ValueError(f"unknown synthetic generator {run.synthetic!r}")
         g, _ = planted_partition(seed=run.seed)
         return g, run.dataset_name or "ppm"
     if not run.input:
@@ -182,8 +154,9 @@ def _dict_csv(d: dict) -> str:
 
 
 def cmd_stats(run: RunConfig) -> int:
+    """graph summary statistics"""
     g, _ = _load_graph(run)
-    stats = graph_stats(g).to_dict()
+    stats = dataclasses.asdict(graph_stats(g))
     if run.format == "csv":
         _emit(_dict_csv(stats), run)
     else:
@@ -192,18 +165,18 @@ def cmd_stats(run: RunConfig) -> int:
 
 
 def cmd_motifs(run: RunConfig) -> int:
+    """triangle participation counts"""
     g, _ = _load_graph(run)
     stats = count_triangles(g)
+    rows = [[u, v, c] for (u, v), c in zip(g.edges.tolist(), stats.edge_values.tolist())]
     if run.format == "csv":
-        lines = ["u,v,edge_motif_degree"]
-        lines += [f"{u},{v},{stats.edge_degree[(u, v)]}" for u, v in map(tuple, g.edges)]
+        lines = ["u,v,edge_motif_degree"] + [f"{u},{v},{c}" for u, v, c in rows]
         _emit("\n".join(lines) + "\n", run)
         return 0
     payload: dict = {
         "total_motifs": stats.total_motifs,
         "node_degree": stats.node_degree.tolist(),
-        "edge_degree": [[int(u), int(v), int(stats.edge_degree[(u, v)])]
-                        for u, v in map(tuple, g.edges)],
+        "edge_degree": rows,
     }
     if run.null_model > 0:
         totals = []
@@ -223,6 +196,7 @@ def cmd_motifs(run: RunConfig) -> int:
 
 
 def cmd_embed(run: RunConfig) -> int:
+    """train one embedding and write it out"""
     g, _ = _load_graph(run)
     algorithms = run.algorithm_list()
     if len(algorithms) != 1:
@@ -260,15 +234,17 @@ def _report_command(run: RunConfig, task: str) -> int:
     if run.format == "csv":
         _emit(write_report_csv(rows), run)
     else:
-        _emit(write_report_json(rows, run.to_dict()), run)
+        _emit(write_report_json(rows, dataclasses.asdict(run)), run)
     return 0
 
 
 def cmd_linkpred(run: RunConfig) -> int:
+    """edge-holdout link prediction report"""
     return _report_command(run, "linkpred")
 
 
 def cmd_cluster(run: RunConfig) -> int:
+    """k-means + silhouette report"""
     return _report_command(run, "cluster")
 
 
@@ -280,39 +256,32 @@ _COMMANDS = {
     "cluster": cmd_cluster,
 }
 
-# argparse dest -> RunConfig field (dest already has dashes translated)
-_FLAGS: list[tuple[str, dict]] = [
-    ("--input", {}),
-    ("--config", {"dest": "config_file"}),
-    ("--seed", {"type": int}),
-    ("--out", {}),
-    ("--format", {"choices": ["json", "csv"]}),
-]
+_TRAIN_FLAGS = (
+    "algorithm", "variant", "mode",
+    *(f.name for f in dataclasses.fields(TrainConfig) if f.name != "seed"),
+    "dataset_name",
+)
+# RunConfig fields each subcommand takes as --flags, beyond the common ones
+_COMMAND_FLAGS = {
+    "stats": (),
+    "motifs": ("null_model", "swaps_per_edge"),
+    "embed": (*_TRAIN_FLAGS, "emb_format"),
+    "linkpred": (*_TRAIN_FLAGS, "seeds", "fraction", "threshold"),
+    "cluster": (*_TRAIN_FLAGS, "seeds", "clusters"),
+}
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    for flag, kw in _FLAGS:
-        p.add_argument(flag, **kw)
-
-
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--algorithm")
-    p.add_argument("--variant")
-    p.add_argument("--mode", choices=list(MODES))
-    p.add_argument("--dim", type=int)
-    p.add_argument("--walks-per-node", type=int)
-    p.add_argument("--walk-length", type=int)
-    p.add_argument("--window", type=int)
-    p.add_argument("--negatives", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--p", type=float)
-    p.add_argument("--q", type=float)
-    p.add_argument("--line-order", choices=["first", "second", "concat"])
-    p.add_argument("--line-samples-factor", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--synthetic", choices=["ppm"])
-    p.add_argument("--dataset-name")
+def _add_flags(p: argparse.ArgumentParser, names) -> None:
+    """One --flag per RunConfig field, typed and restricted like the field."""
+    types = field_types(RunConfig)
+    for name in names:
+        typ = types[name]
+        kw: dict = {}
+        if get_origin(typ) is Literal:
+            kw["choices"] = [c for c in get_args(typ) if c]  # "" means unset
+        elif typ in (int, float):
+            kw["type"] = typ
+        p.add_argument("--" + name.replace("_", "-"), **kw)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -321,51 +290,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Triangle-aware graph embeddings and their evaluation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("stats", help="graph summary statistics")
-    _add_common(p)
-    p.add_argument("--synthetic", choices=["ppm"])
-
-    p = sub.add_parser("motifs", help="triangle participation counts")
-    _add_common(p)
-    p.add_argument("--synthetic", choices=["ppm"])
-    p.add_argument("--null-model", type=int)
-    p.add_argument("--swaps-per-edge", type=int)
-
-    p = sub.add_parser("embed", help="train one embedding and write it out")
-    _add_common(p)
-    _add_train_flags(p)
-    p.add_argument("--emb-format", choices=["text", "binary"])
-
-    p = sub.add_parser("linkpred", help="edge-holdout link prediction report")
-    _add_common(p)
-    _add_train_flags(p)
-    p.add_argument("--seeds")
-    p.add_argument("--fraction", type=float)
-    p.add_argument("--threshold")
-
-    p = sub.add_parser("cluster", help="k-means + silhouette report")
-    _add_common(p)
-    _add_train_flags(p)
-    p.add_argument("--seeds")
-    p.add_argument("--clusters", type=int)
-
+    for command, names in _COMMAND_FLAGS.items():
+        p = sub.add_parser(command, help=_COMMANDS[command].__doc__)
+        p.add_argument("--config", dest="config_file")
+        _add_flags(p, ("input", "synthetic", "seed", "out", "format", *names))
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "config_file", None):
-            run = RunConfig.from_file(args.config_file)
-        else:
-            run = RunConfig()
-        skip = {"command", "config_file"}
-        for key, value in vars(args).items():
-            if key in skip or value is None:
-                continue
-            run.set_field(key, value, where=f"--{key.replace('_', '-')}")
-        return _COMMANDS[args.command](run)
+        values = RunConfig.read_file(args.config_file) if args.config_file else {}
+        values.update((key, value) for key, value in vars(args).items()
+                      if key not in ("command", "config_file") and value is not None)
+        return _COMMANDS[args.command](RunConfig(**values))
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

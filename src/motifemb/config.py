@@ -1,12 +1,18 @@
 """Hyperparameter container shared by all embedding back-ends."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Literal
+from dataclasses import dataclass, fields, replace
+from typing import Literal, get_args, get_origin, get_type_hints
 
-__all__ = ["TrainConfig"]
+__all__ = ["TrainConfig", "field_types"]
 
 LineOrder = Literal["first", "second", "concat"]
+
+
+def field_types(cls) -> dict[str, object]:
+    """Resolved annotation per dataclass field (``Literal[...]`` for choices)."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
 
 
 @dataclass(frozen=True)
@@ -15,6 +21,8 @@ class TrainConfig:
 
     Every trainer is deterministic given (graph, config, seed); defaults are
     recorded into each embedding's provenance so results stay reproducible.
+    A field annotated with a ``Literal`` only accepts the listed values, in
+    this class and in every subclass.
     """
 
     dim: int = 64
@@ -40,25 +48,11 @@ class TrainConfig:
             raise ValueError("learning_rate must be > 0")
         if self.p <= 0 or self.q <= 0:
             raise ValueError("p and q must be > 0")
-        if self.line_order not in ("first", "second", "concat"):
-            raise ValueError(f"unknown line_order: {self.line_order!r}")
+        for name, typ in field_types(type(self)).items():
+            value = getattr(self, name)
+            if get_origin(typ) is Literal and value not in get_args(typ):
+                allowed = ", ".join(map(repr, get_args(typ)))
+                raise ValueError(f"unknown {name}: {value!r} (expected one of {allowed})")
 
     def with_seed(self, seed: int) -> "TrainConfig":
         return replace(self, seed=seed)
-
-    def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "walks_per_node": self.walks_per_node,
-            "walk_length": self.walk_length,
-            "window": self.window,
-            "negatives": self.negatives,
-            "epochs": self.epochs,
-            "learning_rate": self.learning_rate,
-            "p": self.p,
-            "q": self.q,
-            "line_order": self.line_order,
-            "line_samples_factor": self.line_samples_factor,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-        }

@@ -168,16 +168,6 @@ class MetricsReport:
     counts: ConfusionCounts
     zero_norm_pairs: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "auc": self.auc,
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "specificity": self.specificity,
-            "f1": self.f1,
-        }
-
 
 def _safe_ratio(num: float, den: float) -> float:
     return num / den if den > 0 else 0.0
@@ -282,9 +272,6 @@ def kmeans_cluster(
 class SilhouetteReport:
     values: np.ndarray  # s(i) per point
     score: float  # mean over all points
-
-    def to_dict(self) -> dict:
-        return {"sc": self.score}
 
 
 def silhouette_score(x: np.ndarray, labels: np.ndarray) -> SilhouetteReport:

@@ -136,15 +136,6 @@ class GraphStats:
     avg_degree: float
     density: float
 
-    def to_dict(self) -> dict:
-        return {
-            "num_nodes": self.num_nodes,
-            "num_edges": self.num_edges,
-            "max_degree": self.max_degree,
-            "avg_degree": self.avg_degree,
-            "density": self.density,
-        }
-
 
 def parse_edge_list(text: str | bytes | io.IOBase | Iterable[str]) -> Graph:
     """Parse a plain-text edge list into a Graph.

@@ -9,13 +9,15 @@ each order and concatenates.
 """
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 
 from .config import TrainConfig
 from .embedding import EmbeddingMatrix
 from .graph import Graph
 from .motifs import WeightedAdjacency, unit_adjacency
-from .sgns import LR_FLOOR_FACTOR, _scatter_add, sigmoid
+from .sgns import LR_FLOOR_FACTOR, sgns_step
 
 __all__ = ["edge_sampling_tables", "train_line"]
 
@@ -64,15 +66,7 @@ def _train_one_order(
         ctx_idx = np.empty((b, 1 + k), dtype=np.int64)
         ctx_idx[:, 0] = dst
         ctx_idx[:, 1:] = rng.choice(n, size=(b, k), p=noise)
-        c_vec = w_center[src]
-        ctx_vec = w_ctx[ctx_idx]
-        scores = np.einsum("bd,bkd->bk", c_vec, ctx_vec)
-        g_score = -sigmoid(scores)
-        g_score[:, 0] += 1.0
-        g_center = np.einsum("bk,bkd->bd", g_score, ctx_vec)
-        g_ctx = (lr * g_score)[:, :, None].reshape(-1, 1) * np.repeat(c_vec, 1 + k, axis=0)
-        _scatter_add(w_center, src, lr * g_center)
-        _scatter_add(w_ctx, ctx_idx.reshape(-1), g_ctx)
+        sgns_step(w_center, w_ctx, src, ctx_idx, lr)
         processed += b
     return w_center
 
@@ -102,4 +96,4 @@ def train_line(
             g, weights, half, "second", config, np.random.default_rng(seeds[1])
         )
         vectors = np.hstack([first, second])
-    return EmbeddingMatrix(vectors, {"trainer": "line", **config.to_dict()})
+    return EmbeddingMatrix(vectors, {"trainer": "line", **asdict(config)})

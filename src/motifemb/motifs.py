@@ -12,8 +12,6 @@ import scipy.sparse as sp
 from .graph import Graph
 
 __all__ = [
-    "MotifSpec",
-    "TRIANGLE",
     "MotifStats",
     "count_triangles",
     "WeightedAdjacency",
@@ -25,51 +23,31 @@ __all__ = [
 ]
 
 TransitionMode = Literal["strict", "smoothed", "uniform"]
-
-
-@dataclass(frozen=True)
-class MotifSpec:
-    """A small subgraph pattern; only the 3-node triangle is instantiated."""
-
-    kind: str
-    node_count: int
-
-    def __post_init__(self) -> None:
-        if self.kind != "triangle":
-            raise ValueError(f"unsupported motif kind: {self.kind!r}")
-        if self.node_count != 3:
-            raise ValueError("triangle motif has exactly 3 nodes")
-
-
-TRIANGLE = MotifSpec("triangle", 3)
+MOTIF_SIZE = 3  # nodes in a triangle, the one motif counted
 
 
 @dataclass(frozen=True, eq=False)
 class MotifStats:
-    """Exact motif participation counts for one graph.
+    """Exact triangle participation counts for one graph.
 
-    ``node_degree[i]`` is the number of motif instances containing node i,
-    ``edge_degree[(u, v)]`` (canonical u < v, one entry per graph edge) the
-    number containing that edge, and ``edge_values`` the same counts aligned
-    with the source graph's ``edges`` rows.
+    ``node_degree[i]`` is the number of triangles containing node i and
+    ``edge_values[r]`` the number containing edge ``edges[r]``, where
+    ``edges`` is the (read-only) edge array of the graph that was counted.
     """
 
-    motif: MotifSpec
     node_degree: np.ndarray
-    edge_degree: dict[tuple[int, int], int]
-    total_motifs: int
     edge_values: np.ndarray = field(repr=False)
+    total_motifs: int
+    edges: np.ndarray = field(repr=False)
 
 
-def count_triangles(g: Graph, motif: MotifSpec = TRIANGLE) -> MotifStats:
+def count_triangles(g: Graph) -> MotifStats:
     """Enumerate every triangle exactly once via sorted neighbor intersection.
 
     For each edge (u, v) the shared-neighbor count |N(u) ∩ N(v)| is the edge's
     motif degree; node degrees and the total follow from the handshake
     identities (each triangle touches 3 edges, and twice per incident node).
     """
-    if motif.kind != "triangle":
-        raise ValueError("only the triangle motif is implemented")
     n = g.node_count
     ed = np.zeros(g.edge_count, dtype=np.int64)
     for idx in range(g.edge_count):
@@ -82,18 +60,16 @@ def count_triangles(g: Graph, motif: MotifSpec = TRIANGLE) -> MotifStats:
     assert not np.any(nd % 2), "each triangle meets a node on exactly 2 edges"
     nd //= 2
     total = int(ed.sum()) // 3
-    edge_degree = {(int(u), int(v)): int(c) for (u, v), c in zip(g.edges, ed)}
     nd.setflags(write=False)
     ed.setflags(write=False)
-    return MotifStats(motif, nd, edge_degree, total, ed)
+    return MotifStats(nd, ed, total, g.edges)
 
 
 def _check_stats_match(g: Graph, stats: MotifStats) -> None:
-    if len(stats.edge_degree) != g.edge_count or stats.node_degree.shape[0] != g.node_count:
-        raise ValueError("motif stats do not match graph (edge/node counts differ)")
-    for u, v in g.edges:
-        if (int(u), int(v)) not in stats.edge_degree:
-            raise ValueError(f"motif stats missing edge ({u}, {v})")
+    if stats.node_degree.shape[0] != g.node_count or not (
+        stats.edges is g.edges or np.array_equal(stats.edges, g.edges)
+    ):
+        raise ValueError("motif stats were counted on a different graph")
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,9 +116,8 @@ def build_motif_adjacency(g: Graph, stats: MotifStats) -> WeightedAdjacency:
     1 + ED/|V_M| on edges inside at least one motif instance.
     """
     _check_stats_match(g, stats)
-    vm = stats.motif.node_count
     ed = stats.edge_values.astype(np.float64)
-    w = np.where(ed > 0, 1.0 + ed / vm, 1.0)
+    w = np.where(ed > 0, 1.0 + ed / MOTIF_SIZE, 1.0)
     w.setflags(write=False)
     return WeightedAdjacency(g.node_count, w, _assemble(g, w))
 

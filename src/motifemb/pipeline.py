@@ -12,7 +12,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+from dataclasses import asdict
 from pathlib import Path
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -48,7 +50,8 @@ __all__ = [
 
 ALGORITHMS = ("deepwalk", "node2vec", "line", "spectral")
 VARIANTS = ("base", "mo")
-MODES = ("strict", "smoothed")
+MotifMode = Literal["strict", "smoothed"]
+MODES = get_args(MotifMode)
 
 REPORT_COLUMNS = (
     "dataset",
@@ -108,7 +111,7 @@ def embed_graph(
         "algorithm": algorithm,
         "variant": variant,
         "motif_mode": mode if variant == "mo" else "none",
-        **config.to_dict(),
+        **asdict(config),
         "seed": seed,
     }
     return EmbeddingMatrix(emb.vectors, provenance)

@@ -12,6 +12,8 @@ above 1) or the run degenerates to the random init.
 """
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 
 from .config import TrainConfig
@@ -25,6 +27,7 @@ __all__ = [
     "pair_gradients",
     "extract_pairs",
     "noise_distribution",
+    "sgns_step",
     "train_sgns",
 ]
 
@@ -103,6 +106,32 @@ def _scatter_add(matrix: np.ndarray, idx: np.ndarray, grads: np.ndarray) -> None
     matrix[idx_sorted[starts]] += np.add.reduceat(grads_sorted, starts, axis=0)
 
 
+def sgns_step(
+    w_center: np.ndarray,
+    w_ctx: np.ndarray,
+    center_idx: np.ndarray,
+    ctx_idx: np.ndarray,
+    lr: float,
+) -> None:
+    """One in-place gradient-ascent step on a batch of pair objectives.
+
+    Row b pairs ``w_center[center_idx[b]]`` with the context rows
+    ``w_ctx[ctx_idx[b]]``: column 0 is the positive, the rest negatives.
+    Gradients are taken at the pre-step values, so passing one matrix as
+    both arguments (LINE first order) updates it consistently.
+    """
+    c_vec = w_center[center_idx]
+    ctx_vec = w_ctx[ctx_idx]
+    g_score = -sigmoid(np.einsum("bd,bkd->bk", c_vec, ctx_vec))
+    g_score[:, 0] += 1.0  # positive column label
+    _scatter_add(w_center, center_idx, lr * np.einsum("bk,bkd->bd", g_score, ctx_vec))
+    _scatter_add(
+        w_ctx,
+        ctx_idx.reshape(-1),
+        (lr * g_score)[:, :, None].reshape(-1, 1) * np.repeat(c_vec, ctx_idx.shape[1], axis=0),
+    )
+
+
 def train_sgns(
     corpus: WalkCorpus,
     config: TrainConfig,
@@ -136,21 +165,10 @@ def train_sgns(
             batch = perm[lo : lo + config.batch_size]
             b = batch.size
             lr = max(lr0 * (1.0 - processed / total_budget), lr0 * LR_FLOOR_FACTOR)
-            c_idx = centers[batch]
             ctx_idx = np.empty((b, 1 + k), dtype=np.int64)
             ctx_idx[:, 0] = contexts[batch]
             ctx_idx[:, 1:] = rng.choice(node_count, size=(b, k), p=noise)
-            c_vec = w_center[c_idx]
-            ctx_vec = w_ctx[ctx_idx]
-            scores = np.einsum("bd,bkd->bk", c_vec, ctx_vec)
-            g_score = -sigmoid(scores)
-            g_score[:, 0] += 1.0  # positive column label
-            _scatter_add(w_center, c_idx, lr * np.einsum("bk,bkd->bd", g_score, ctx_vec))
-            _scatter_add(
-                w_ctx,
-                ctx_idx.reshape(-1),
-                (lr * g_score)[:, :, None].reshape(-1, 1) * np.repeat(c_vec, 1 + k, axis=0),
-            )
+            sgns_step(w_center, w_ctx, centers[batch], ctx_idx, lr)
             processed += b
-    emb = EmbeddingMatrix(w_center, {"trainer": "sgns", **config.to_dict()})
+    emb = EmbeddingMatrix(w_center, {"trainer": "sgns", **asdict(config)})
     return (emb, w_ctx) if return_context else emb

@@ -84,25 +84,18 @@ def train_spectral(
         raise ValueError(f"dim {dim} must be < node count {g.node_count}")
     seed = 0 if seed is None else seed
     n_comp, comp_labels = connected_components(weights.matrix, directed=False)
+    full_lap = normalized_laplacian(weights)
     out = np.zeros((g.node_count, dim))
     for c in range(n_comp):
         nodes = np.flatnonzero(comp_labels == c)
         m = nodes.size
         if m == 1:
             continue
-        sub = WeightedAdjacencyView(weights, nodes)
-        lap = normalized_laplacian(sub)
+        # degrees never cross components, so this is the component's own Laplacian
+        lap = full_lap[np.ix_(nodes, nodes)]
         k = min(dim, m - 1) + 1  # + trivial pair
         vals, vecs = smallest_eigenpairs(lap, k, seed=seed + c)
         _check_residuals(lap, vals, vecs)
         kept = _fix_signs(vecs[:, 1:])
         out[nodes, : kept.shape[1]] = kept
     return EmbeddingMatrix(out, {"trainer": "spectral", "dim": dim, "seed": seed})
-
-
-class WeightedAdjacencyView:
-    """Restriction of a weighted adjacency to a node subset (duck-typed)."""
-
-    def __init__(self, weights: WeightedAdjacency, nodes: np.ndarray):
-        self.matrix = weights.matrix.tocsr()[np.ix_(nodes, nodes)]
-        self.node_count = nodes.size

@@ -4,16 +4,25 @@ subprocess test proves the module entry point."""
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import subprocess
 import sys
+from typing import Literal, get_args, get_origin
 
 import numpy as np
 import pytest
 
-from motifemb import load_embedding_binary, load_embedding_text, write_edge_list
+from motifemb import (
+    TrainConfig,
+    load_embedding_binary,
+    load_embedding_text,
+    write_edge_list,
+)
+from motifemb import cli
 from motifemb.cli import RunConfig, main
+from motifemb.config import field_types
 from motifemb.pipeline import ALGORITHMS, REPORT_COLUMNS
 
 from conftest import er_graph
@@ -85,6 +94,79 @@ class TestRunConfig:
         assert RunConfig(threshold="0.4").threshold_value() == 0.4
         with pytest.raises(ValueError):
             RunConfig(threshold="middle").threshold_value()
+
+
+TRAIN_FIELDS = [f for f in dataclasses.fields(TrainConfig) if f.name != "seed"]
+
+
+def non_default(field: dataclasses.Field):
+    """A valid value of the field that differs from its default."""
+    typ = field_types(TrainConfig)[field.name]
+    if get_origin(typ) is Literal:
+        return next(c for c in get_args(typ) if c != field.default)
+    return typ(field.default * 2)
+
+
+class TestOneDeclaration:
+    """Every TrainConfig hyperparameter is a --flag of each training command
+    and a config-file key, and arrives in train_config() as given."""
+
+    @pytest.mark.parametrize("command", ["embed", "linkpred", "cluster"])
+    @pytest.mark.parametrize("field", TRAIN_FIELDS, ids=lambda f: f.name)
+    def test_flag_and_file_key_reach_train_config(self, field, command, tmp_path,
+                                                  monkeypatch):
+        seen = []
+        monkeypatch.setitem(cli._COMMANDS, command,
+                            lambda run: seen.append(run.train_config()) or 0)
+        value = non_default(field)
+        want = dataclasses.replace(TrainConfig(), **{field.name: value})
+
+        flag = "--" + field.name.replace("_", "-")
+        assert main([command, flag, str(value)]) == 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{field.name}={value}\n")
+        assert main([command, "--config", str(cfg)]) == 0
+        assert seen == [want, want]
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("format", "xml"), ("mode", "loose"), ("line_order", "third"),
+         ("synthetic", "er")],
+    )
+    def test_bad_choice_in_config_file_exits_two(self, key, value, k3_file,
+                                                 tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        out = tmp_path / "stats.out"
+        code = main(["stats", "--input", k3_file, "--config", str(cfg),
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+        assert not out.exists()
+
+    def test_bad_emb_format_in_config_file_exits_two(self, k3_file, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("emb_format=bogus\n")
+        out = tmp_path / "e.txt"
+        code = main(["embed", "--input", k3_file, "--config", str(cfg),
+                     "--algorithm", "spectral", "--variant", "base", "--dim", "2",
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [("stats", "--format", "xml"), ("embed", "--mode", "loose"),
+         ("embed", "--line-order", "third"), ("stats", "--synthetic", "er"),
+         ("embed", "--emb-format", "bogus")],
+    )
+    def test_bad_choice_flag_exits_two(self, command, flag, value, capsys):
+        with pytest.raises(SystemExit) as err:
+            main([command, flag, value])
+        assert err.value.code == 2
+        capsys.readouterr()
 
 
 class TestExitCodes:

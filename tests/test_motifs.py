@@ -10,15 +10,12 @@ from hypothesis import strategies as st
 
 from motifemb import (
     Graph,
-    TRIANGLE,
     build_motif_adjacency,
     build_transition_model,
     count_triangles,
     uniform_transitions,
     unit_adjacency,
 )
-from motifemb.motifs import MotifSpec
-
 from conftest import er_graph
 
 
@@ -42,6 +39,11 @@ def brute_triangle_stats(g: Graph):
     return total, nd, ed
 
 
+def edge_counts(g: Graph, stats) -> dict:
+    """{(u, v): count} read off ``edge_values`` row by row of ``g.edges``."""
+    return {(u, v): c for (u, v), c in zip(g.edges.tolist(), stats.edge_values.tolist())}
+
+
 def direct_adjacency_weight(ed_value: int, motif_size: int = 3) -> float:
     return 1.0 + ed_value / motif_size if ed_value > 0 else 1.0
 
@@ -58,30 +60,18 @@ def direct_strict_row(g: Graph, ed: dict, node: int) -> np.ndarray:
     return np.full(nbrs.size, 1.0 / nbrs.size) if nbrs.size else mass
 
 
-class TestMotifSpec:
-    def test_triangle_constant(self):
-        assert TRIANGLE.kind == "triangle"
-        assert TRIANGLE.node_count == 3
-
-    def test_bad_specs_rejected(self):
-        with pytest.raises(ValueError):
-            MotifSpec(kind="square", node_count=4)
-        with pytest.raises(ValueError):
-            MotifSpec(kind="triangle", node_count=4)
-
-
 class TestCountTriangles:
     def test_k3(self, k3):
         s = count_triangles(k3)
         assert s.total_motifs == 1
         assert s.node_degree.tolist() == [1, 1, 1]
-        assert all(v == 1 for v in s.edge_degree.values())
+        assert s.edge_values.tolist() == [1] * k3.edge_count
 
     def test_k4(self, k4):
         s = count_triangles(k4)
         assert s.total_motifs == 4
         assert s.node_degree.tolist() == [3, 3, 3, 3]
-        assert all(v == 2 for v in s.edge_degree.values())
+        assert s.edge_values.tolist() == [2] * k4.edge_count
 
     def test_petersen_triangle_free(self, petersen):
         s = count_triangles(petersen)
@@ -93,8 +83,9 @@ class TestCountTriangles:
         s = count_triangles(tri_pendant)
         assert s.total_motifs == 1
         assert s.node_degree.tolist() == [1, 1, 1, 0]
-        assert s.edge_degree[(2, 3)] == 0
-        assert s.edge_degree[(0, 1)] == 1
+        counts = edge_counts(tri_pendant, s)
+        assert counts[(2, 3)] == 0
+        assert counts[(0, 1)] == 1
 
     @given(
         n=st.integers(min_value=3, max_value=30),
@@ -108,7 +99,7 @@ class TestCountTriangles:
         total, nd, ed = brute_triangle_stats(g)
         assert s.total_motifs == total
         assert np.array_equal(s.node_degree, nd)
-        assert s.edge_degree == ed
+        assert edge_counts(g, s) == ed
 
     @given(
         n=st.integers(min_value=3, max_value=30),
@@ -122,7 +113,7 @@ class TestCountTriangles:
         assert s.node_degree.sum() == 3 * s.total_motifs
         assert s.edge_values.sum() == 3 * s.total_motifs
         # an edge's count never exceeds either endpoint's count
-        for (u, v), val in s.edge_degree.items():
+        for (u, v), val in edge_counts(g, s).items():
             assert val <= min(s.node_degree[u], s.node_degree[v])
 
     @given(
@@ -147,8 +138,9 @@ class TestCountTriangles:
         before = count_triangles(g)
         after = count_triangles(bigger)
         assert np.all(after.node_degree >= before.node_degree)
-        for edge, val in before.edge_degree.items():
-            assert after.edge_degree[edge] >= val
+        after_counts = edge_counts(bigger, after)
+        for edge, val in edge_counts(g, before).items():
+            assert after_counts[edge] >= val
 
 
 class TestWeightedAdjacency:
@@ -179,6 +171,26 @@ class TestWeightedAdjacency:
     def test_mismatched_stats_rejected(self, k3, k4):
         with pytest.raises(ValueError):
             build_motif_adjacency(k4, count_triangles(k3))
+
+    def test_stats_from_same_sized_graph_rejected(self):
+        # equal node and edge counts, different edges: only the edge check
+        # can tell the two graphs apart
+        path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+        stats = count_triangles(path)
+        with pytest.raises(ValueError):
+            build_motif_adjacency(star, stats)
+        for mode in ("strict", "smoothed"):
+            with pytest.raises(ValueError):
+                build_transition_model(star, stats, mode)
+
+    def test_stats_from_equal_graph_accepted(self, k4):
+        # an equal graph built separately holds a different edges array
+        twin = Graph.from_edges(4, list(map(tuple, k4.edges)))
+        assert twin.edges is not k4.edges
+        stats = count_triangles(twin)
+        assert np.array_equal(build_motif_adjacency(k4, stats).edge_weights,
+                              build_motif_adjacency(twin, stats).edge_weights)
 
     @given(
         n=st.integers(min_value=3, max_value=25),

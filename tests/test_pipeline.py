@@ -3,6 +3,7 @@ and report assembly/serialization."""
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 
@@ -71,7 +72,8 @@ class TestTrainConfig:
         assert other.dim == 8
 
     def test_to_dict_is_complete(self):
-        d = TrainConfig().to_dict()
+        # the dict form written into provenance is dataclasses.asdict
+        d = dataclasses.asdict(TrainConfig())
         for key in ("dim", "walks_per_node", "walk_length", "window",
                     "negatives", "epochs", "learning_rate", "p", "q",
                     "line_order", "batch_size", "line_samples_factor", "seed"):

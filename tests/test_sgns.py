@@ -18,6 +18,7 @@ from motifemb.sgns import (
     noise_distribution,
     pair_gradients,
     pair_objective,
+    sgns_step,
     sigmoid,
 )
 from motifemb.walks import WalkCorpus
@@ -183,6 +184,42 @@ class TestScatterAdd:
         m = np.zeros((2, 3))
         _scatter_add(m, np.array([1, 1, 1]), np.ones((3, 3)))
         assert np.array_equal(m, [[0, 0, 0], [3, 3, 3]])
+
+
+class TestSgnsStep:
+    """A one-pair batch with distinct rows must move each row by exactly lr
+    times its pair_gradients entry, whether the center and context roles use
+    separate matrices (SGNS, LINE second order) or one (LINE first order)."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=9999),
+        dim=st.integers(min_value=2, max_value=8),
+        k=st.integers(min_value=1, max_value=5),
+        shared=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_one_pair_equals_lr_times_gradients(self, seed, dim, k, shared):
+        rng = np.random.default_rng(seed)
+        n = k + 4
+        w_center = rng.normal(scale=0.8, size=(n, dim))
+        w_ctx = w_center if shared else rng.normal(scale=0.8, size=(n, dim))
+        rows = rng.permutation(n)[: k + 2]  # center, positive, k negatives
+        c, ctx = rows[:1], rows[1:][None, :]
+        before_center, before_ctx = w_center.copy(), w_ctx.copy()
+        lr = 0.05
+
+        g_center, g_pos, g_negs = pair_gradients(
+            before_center[c[0]], before_ctx[ctx[0, 0]], before_ctx[ctx[0, 1:]]
+        )
+        sgns_step(w_center, w_ctx, c, ctx, lr)
+
+        want_center = before_center.copy()
+        want_ctx = want_center if shared else before_ctx.copy()
+        want_center[c[0]] += lr * g_center
+        want_ctx[ctx[0, 0]] += lr * g_pos
+        want_ctx[ctx[0, 1:]] += lr * g_negs
+        assert np.allclose(w_center, want_center, rtol=0, atol=1e-12)
+        assert np.allclose(w_ctx, want_ctx, rtol=0, atol=1e-12)
 
 
 class TestTraining:
