@@ -17,12 +17,10 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from motifemb import TrainConfig, graph_stats, load_edge_list
-from motifemb.pipeline import ALGORITHMS, cluster_row, linkpred_row, write_report_csv
+from motifemb.pipeline import ALGORITHMS, gap_table, run_report, write_report_csv
 
 DATASET_DIR = Path(__file__).resolve().parent.parent / "datasets"
 DATASETS = ("wiki", "routers", "twitter", "facebook", "hamsterster", "openflights")
@@ -94,35 +92,17 @@ def main() -> int:
     for name, g in graphs.items():
         rows: list[dict] = []
         for task in tasks:
-            metric = "auc" if task == "linkpred" else "sc"
-            means: dict[tuple[str, str], tuple[float, float]] = {}
+            task_kwargs = ({"fraction": args.fraction} if task == "linkpred"
+                           else {"clusters": args.clusters})
             t0 = time.time()
-            for algorithm in args.algorithms:
-                for variant in ("base", "mo"):
-                    vals = []
-                    for seed in seeds:
-                        if task == "linkpred":
-                            row = linkpred_row(g, name, algorithm, variant, config,
-                                               seed, fraction=args.fraction,
-                                               mode=args.mode)
-                        else:
-                            row = cluster_row(g, name, algorithm, variant, config,
-                                              seed, clusters=args.clusters,
-                                              mode=args.mode)
-                        rows.append(row)
-                        vals.append(float(row[metric]))
-                    arr = np.asarray(vals)
-                    means[(algorithm, variant)] = (arr.mean(), arr.std())
-
+            task_rows = run_report(g, name, task, algorithms=args.algorithms,
+                                   seeds=seeds, config=config, mode=args.mode,
+                                   **task_kwargs)
+            rows.extend(task_rows)
             title = "AUC" if task == "linkpred" else "silhouette"
             print(f"== {name}: {title} over {args.seeds} seeds "
                   f"({time.time() - t0:.0f}s) ==")
-            print(f"{'algorithm':<10} {'base':>16} {'mo':>16} {'gap':>8}")
-            for algorithm in args.algorithms:
-                b_mean, b_std = means[(algorithm, "base")]
-                m_mean, m_std = means[(algorithm, "mo")]
-                print(f"{algorithm:<10} {b_mean:>9.4f}±{b_std:.4f} "
-                      f"{m_mean:>9.4f}±{m_std:.4f} {m_mean - b_mean:>+8.4f}")
+            print(gap_table(task_rows, "auc" if task == "linkpred" else "sc"))
             print()
         if args.out_dir is not None:
             out = args.out_dir / f"{name}.csv"

@@ -17,12 +17,10 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from motifemb import TrainConfig
-from motifemb.pipeline import ALGORITHMS, cluster_row, linkpred_row, write_report_csv
+from motifemb.pipeline import gap_table, run_report, write_report_csv
 from motifemb.synth import planted_partition
 
 
@@ -72,36 +70,18 @@ def main() -> int:
     tasks = ("linkpred", "cluster") if args.task == "both" else (args.task,)
     t0 = time.time()
     for task in tasks:
-        means: dict[tuple[str, str], tuple[float, float]] = {}
-        metric = "auc" if task == "linkpred" else "sc"
-        for algorithm in ALGORITHMS:
-            for variant in ("base", "mo"):
-                vals = []
-                for seed in seeds:
-                    if task == "linkpred":
-                        row = linkpred_row(g, "synthetic", algorithm, variant,
-                                           config, seed, fraction=args.fraction,
-                                           mode=args.mode)
-                    else:
-                        row = cluster_row(g, "synthetic", algorithm, variant,
-                                          config, seed, clusters=args.blocks,
-                                          mode=args.mode)
-                    rows.append(row)
-                    vals.append(float(row[metric]))
-                arr = np.asarray(vals)
-                means[(algorithm, variant)] = (arr.mean(), arr.std())
-
+        task_kwargs = ({"fraction": args.fraction} if task == "linkpred"
+                       else {"clusters": args.blocks})
+        task_rows = run_report(g, "synthetic", task, seeds=seeds, config=config,
+                               mode=args.mode, **task_kwargs)
+        rows.extend(task_rows)
         title = "link prediction AUC" if task == "linkpred" else "clustering silhouette"
         print(f"== {title} ==")
-        print(f"{'algorithm':<10} {'base':>16} {'mo':>16} {'gap':>8}")
-        for algorithm in ALGORITHMS:
-            b_mean, b_std = means[(algorithm, "base")]
-            m_mean, m_std = means[(algorithm, "mo")]
-            print(f"{algorithm:<10} {b_mean:>9.4f}±{b_std:.4f} "
-                  f"{m_mean:>9.4f}±{m_std:.4f} {m_mean - b_mean:>+8.4f}")
+        print(gap_table(task_rows, "auc" if task == "linkpred" else "sc"))
         print()
 
-    print(f"total {time.time() - t0:.1f}s for {len(rows)} runs")
+    runs = sum(row["seed"] != "summary" for row in rows)
+    print(f"total {time.time() - t0:.1f}s for {runs} runs")
     if args.csv is not None:
         write_report_csv(rows, args.csv)
         print(f"raw rows written to {args.csv}")

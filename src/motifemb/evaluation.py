@@ -1,19 +1,22 @@
 """Link-prediction and clustering evaluation.
 
-Link prediction: hold out a fraction of edges (optionally refusing removals
-that would disconnect the remaining graph), pair them 1:1 with uniformly
-sampled non-edges, score candidate pairs by cosine similarity of endpoint
-embeddings, and report ranking AUC plus thresholded confusion metrics.
+Link prediction: hold out the first floor(fraction * |E|) edges of a seeded
+permutation, optionally skipping edges whose removal would split a component
+(at most |E| - (|V| - c) positives with c components), pair them 1:1 with
+uniformly sampled non-edges, score candidate pairs by cosine similarity of
+endpoint embeddings, and report ranking AUC plus thresholded confusion
+metrics.
 
 Clustering: seeded k-means++ / Lloyd iterations and the mean silhouette
 coefficient under Euclidean distance.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial.distance import cdist
 from scipy.stats import rankdata
 
@@ -47,32 +50,22 @@ class LinkPredSplit:
     seed: int
 
 
-def _connected_after_removal(adj: dict[int, set], u: int, v: int) -> bool:
-    """BFS from u in the current (post-removal) adjacency, looking for v."""
-    seen = {u}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        if x == v:
-            return True
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return False
-
-
 def make_split(
     g: Graph,
     fraction: float = 0.1,
     seed: int = 0,
     protect_connectivity: bool = True,
 ) -> LinkPredSplit:
-    """Uniformly removes floor(fraction * |E|) edges as test positives.
+    """Removes the first floor(fraction * |E|) edges of one seeded
+    permutation as test positives.
 
     With protect_connectivity, an edge is skipped when its removal would
-    separate its endpoints in the remaining graph, so components never
-    split; fewer positives than requested may result on sparse graphs.
+    separate its endpoints in the graph left so far, so components never
+    split. That rule is reverse-delete: the removals are the first edges,
+    in permutation order, outside the spanning forest Kruskal builds by
+    scanning the permutation backwards. With c components, only
+    |E| - (|V| - c) edges lie outside it, so
+    min(floor(fraction * |E|), |E| - (|V| - c)) positives come back.
     Negatives are distinct non-edges of the ORIGINAL graph, matched 1:1.
     """
     if not 0 < fraction < 1:
@@ -83,24 +76,21 @@ def make_split(
     if target < 1:
         raise ValueError(f"fraction {fraction} selects no edges out of {m}")
     rng = np.random.default_rng(seed)
-    adj: dict[int, set] = {v: set(map(int, g.neighbors(v))) for v in range(g.node_count)}
-    removed: list[tuple[int, int]] = []
-    for idx in rng.permutation(m):
-        if len(removed) == target:
-            break
-        u, v = map(int, g.edges[idx])
-        adj[u].discard(v)
-        adj[v].discard(u)
-        if protect_connectivity and not _connected_after_removal(adj, u, v):
-            adj[u].add(v)
-            adj[v].add(u)
-            continue
-        removed.append((u, v))
-    if not removed:
+    order = rng.permutation(m)
+    if protect_connectivity:
+        # the edge visited i-th weighs m - i, so the unique minimum spanning
+        # forest is the one Kruskal builds from the last-visited edge back
+        weight = np.empty(m)
+        weight[order] = np.arange(m, 0, -1)
+        shape = (g.node_count, g.node_count)
+        forest = minimum_spanning_tree(sp.csr_matrix((weight, g.edges.T), shape=shape))
+        order = np.delete(order, m - forest.data.astype(np.int64))  # drop the forest
+    removed = order[:target]
+    if not removed.size:
         raise ValueError("connectivity constraint blocked every removal")
-    kept = [(u, v) for u, v in g.edges if (min(u, v), max(u, v)) not in
-            {(min(a, b), max(a, b)) for a, b in removed}]
-    train = Graph.from_edges(g.node_count, kept, labels=g.labels)
+    keep = np.ones(m, dtype=bool)
+    keep[removed] = False
+    train = Graph.from_edges(g.node_count, g.edges[keep], labels=g.labels)
 
     forbidden = g.edge_set()
     negatives: set[tuple[int, int]] = set()
@@ -118,7 +108,7 @@ def make_split(
             if pair in forbidden or pair in negatives:
                 continue
             negatives.add(pair)
-    pos = np.asarray(removed, dtype=np.int64)
+    pos = g.edges[removed]
     neg = np.asarray(sorted(negatives), dtype=np.int64)
     return LinkPredSplit(train, pos, neg, fraction, seed)
 
@@ -240,7 +230,8 @@ def kmeans_cluster(
     """Lloyd iterations from a k-means++ start; returns integer labels.
 
     An emptied cluster is re-seeded at the point farthest from its assigned
-    center, keeping exactly k nonempty clusters.
+    center among the points whose cluster keeps another member, so exactly
+    k clusters stay nonempty even when several empty in one iteration.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
@@ -258,7 +249,9 @@ def kmeans_cluster(
             if members.any():
                 new_centers[j] = x[members].mean(axis=0)
             else:
-                worst = int(np.argmax(d2[np.arange(n), labels]))
+                donor = np.bincount(labels, minlength=k)[labels] > 1
+                far = np.where(donor, d2[np.arange(n), labels], -np.inf)
+                worst = int(np.argmax(far))
                 new_centers[j] = x[worst]
                 labels[worst] = j
         shift = float(np.linalg.norm(new_centers - centers, axis=1).max())

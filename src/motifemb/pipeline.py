@@ -21,6 +21,7 @@ import numpy as np
 from .config import TrainConfig
 from .embedding import EmbeddingMatrix
 from .evaluation import (
+    LinkPredSplit,
     compute_metrics,
     cosine_scores,
     kmeans_cluster,
@@ -44,6 +45,7 @@ __all__ = [
     "cluster_row",
     "run_report",
     "summarize_rows",
+    "gap_table",
     "write_report_csv",
     "write_report_json",
 ]
@@ -124,18 +126,17 @@ def _blank_row(dataset: str, algorithm: str, variant: str, seed) -> dict:
 
 
 def linkpred_row(
-    g: Graph,
+    split: LinkPredSplit,
     dataset: str,
     algorithm: str,
     variant: str,
     config: TrainConfig,
-    seed: int,
-    fraction: float = 0.1,
     threshold: float | None = None,
     mode: str = "strict",
 ) -> dict:
-    """Holdout split, embed the TRAIN graph, score held-out vs non-edges."""
-    split = make_split(g, fraction, seed)
+    """Embed the split's TRAIN graph with the split's seed, then score its
+    held-out edges against its sampled non-edges."""
+    seed = split.seed
     emb = embed_graph(split.train_graph, algorithm, variant, config.with_seed(seed), mode, seed)
     pos, z_pos = cosine_scores(emb, split.test_edges)
     neg, z_neg = cosine_scores(emb, split.test_non_edges)
@@ -170,20 +171,26 @@ def run_report(
     variants=VARIANTS,
     seeds=(0,),
     config: TrainConfig = TrainConfig(),
+    fraction: float = 0.1,
     **task_kwargs,
 ) -> list[dict]:
     """All (algorithm, variant, seed) rows for one task, sorted, plus one
-    summary row per (algorithm, variant) when there are multiple seeds."""
+    summary row per (algorithm, variant) when there are multiple seeds.
+    Every linkpred row of a seed scores against that seed's one split."""
     if task not in ("linkpred", "cluster"):
         raise ValueError(f"unknown task {task!r}")
-    fn = linkpred_row if task == "linkpred" else cluster_row
     rows = []
-    for algorithm in algorithms:
-        for variant in variants:
-            for seed in seeds:
-                rows.append(
-                    fn(g, dataset, algorithm, variant, config, int(seed), **task_kwargs)
-                )
+    for seed in map(int, seeds):
+        split = make_split(g, fraction, seed) if task == "linkpred" else None
+        for algorithm in algorithms:
+            for variant in variants:
+                if split is not None:
+                    row = linkpred_row(split, dataset, algorithm, variant, config,
+                                       **task_kwargs)
+                else:
+                    row = cluster_row(g, dataset, algorithm, variant, config, seed,
+                                      **task_kwargs)
+                rows.append(row)
     rows.sort(key=lambda r: (r["dataset"], r["algorithm"], r["variant"], r["seed"]))
     if len(seeds) > 1:
         rows.extend(summarize_rows(rows))
@@ -207,6 +214,22 @@ def summarize_rows(rows: list[dict]) -> list[dict]:
                 summary[col] = f"{arr.mean():.6f}±{arr.std():.6f}"
         out.append(summary)
     return out
+
+
+def gap_table(rows: list[dict], metric: str) -> str:
+    """Text table of one metric's mean±std (population std) per algorithm
+    over the per-seed rows, base and mo side by side, with the mo-minus-base
+    gap of the means."""
+    values: dict[tuple, list] = {}
+    for row in rows:
+        if row["seed"] != "summary":
+            values.setdefault((row["algorithm"], row["variant"]), []).append(row[metric])
+    lines = [f"{'algorithm':<10} {'base':>16} {'mo':>16} {'gap':>8}"]
+    for algorithm in (a for a in ALGORITHMS if (a, "base") in values):
+        base, mo = (np.asarray(values[(algorithm, v)]) for v in ("base", "mo"))
+        lines.append(f"{algorithm:<10} {base.mean():>9.4f}±{base.std():.4f} "
+                     f"{mo.mean():>9.4f}±{mo.std():.4f} {mo.mean() - base.mean():>+8.4f}")
+    return "\n".join(lines)
 
 
 def _format_cell(value) -> str:

@@ -12,6 +12,7 @@ its purpose, so treat any failure as a regression, not a tuning problem.
 from __future__ import annotations
 
 import time
+from collections import defaultdict
 from contextlib import contextmanager
 
 import numpy as np
@@ -34,7 +35,7 @@ from motifemb import (
     write_edge_list,
 )
 from motifemb.cli import main as cli_main
-from motifemb.pipeline import ALGORITHMS, VARIANTS, cluster_row, linkpred_row
+from motifemb.pipeline import ALGORITHMS, run_report
 from motifemb.sgns import pair_gradients, pair_objective
 from motifemb.spectral import RESIDUAL_TOL, normalized_laplacian, smallest_eigenpairs
 
@@ -75,25 +76,20 @@ def synthetic_comparison():
     """Mean AUC and mean SC per (algorithm, variant) on the frozen benchmark."""
     g, _ = planted_partition(seed=BENCH_GENERATOR_SEED)
     start = time.perf_counter()
-    auc_mean: dict[tuple[str, str], float] = {}
-    sc_mean: dict[tuple[str, str], float] = {}
-    for algorithm in ALGORITHMS:
-        for variant in VARIANTS:
-            aucs, scs = [], []
-            for seed in BENCH_SEEDS:
-                lp = linkpred_row(
-                    g, "ppm", algorithm, variant, BENCH_CONFIG, seed,
-                    fraction=BENCH_FRACTION, mode="strict",
-                )
-                aucs.append(lp["auc"])
-                cl = cluster_row(
-                    g, "ppm", algorithm, variant, BENCH_CONFIG, seed,
-                    clusters=2, mode="strict",
-                )
-                scs.append(cl["sc"])
-            auc_mean[(algorithm, variant)] = float(np.mean(aucs))
-            sc_mean[(algorithm, variant)] = float(np.mean(scs))
+    means = []
+    for task, metric, kwargs in (
+        ("linkpred", "auc", {"fraction": BENCH_FRACTION}),
+        ("cluster", "sc", {"clusters": 2}),
+    ):
+        rows = run_report(g, "ppm", task, seeds=BENCH_SEEDS, config=BENCH_CONFIG,
+                          mode="strict", **kwargs)
+        values = defaultdict(list)  # per-seed values, in seed order
+        for row in rows:
+            if row["seed"] != "summary":
+                values[(row["algorithm"], row["variant"])].append(row[metric])
+        means.append({key: float(np.mean(v)) for key, v in values.items()})
     elapsed = time.perf_counter() - start
+    auc_mean, sc_mean = means
     return auc_mean, sc_mean, elapsed
 
 

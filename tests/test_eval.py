@@ -3,9 +3,12 @@ silhouette values. Silhouette is checked against an independent brute-force
 reimplementation; metric arithmetic against hand-computed confusion tables."""
 from __future__ import annotations
 
+import re
+from collections import deque
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
@@ -46,6 +49,58 @@ def brute_silhouette(x: np.ndarray, labels: np.ndarray) -> float:
         )
         vals.append(0.0 if max(a, b) == 0 else (b - a) / max(a, b))
     return float(np.mean(vals))
+
+
+def greedy_split(g: Graph, fraction: float, seed: int, protect_connectivity: bool):
+    """Plain-loop reference for make_split: visit the edges in permutation
+    order and remove each one unless, with protection, a BFS over the graph
+    left so far no longer reaches one endpoint from the other; then draw
+    negatives from the same generator. Returns (removed, negatives, kept)."""
+    m = g.edge_count
+    target = int(np.floor(fraction * m + 1e-9))
+    rng = np.random.default_rng(seed)
+    adj = {v: set(g.neighbors(v).tolist()) for v in range(g.node_count)}
+
+    def reachable(u, v):
+        seen, queue = {u}, deque([u])
+        while queue:
+            x = queue.popleft()
+            if x == v:
+                return True
+            for y in adj[x] - seen:
+                seen.add(y)
+                queue.append(y)
+        return False
+
+    removed = []
+    for idx in rng.permutation(m):
+        if len(removed) == target:
+            break
+        u, v = g.edges[idx].tolist()
+        adj[u].discard(v)
+        adj[v].discard(u)
+        if protect_connectivity and not reachable(u, v):
+            adj[u].add(v)
+            adj[v].add(u)
+        else:
+            removed.append((u, v))
+    if not removed:
+        raise ValueError("connectivity constraint blocked every removal")
+    gone = set(removed)
+    kept = [e for e in map(tuple, g.edges.tolist()) if e not in gone]
+
+    forbidden = g.edge_set()
+    if g.node_count * (g.node_count - 1) // 2 - m < len(removed):
+        raise ValueError("graph too dense to sample matching non-edges")
+    negatives = set()
+    while len(negatives) < len(removed):
+        for a, b in rng.integers(0, g.node_count, size=(2 * len(removed), 2)).tolist():
+            if len(negatives) == len(removed):
+                break
+            pair = (min(a, b), max(a, b))
+            if a != b and pair not in forbidden:
+                negatives.add(pair)
+    return removed, sorted(negatives), kept
 
 
 # scores on a 0.01 grid: distinct values stay distinct in float64 even
@@ -145,6 +200,56 @@ class TestMakeSplit:
         g = Graph.from_edges(2, [(0, 1)])
         with pytest.raises(ValueError):
             make_split(g, fraction=0.4, seed=0)
+
+    @given(
+        n=st.integers(min_value=4, max_value=40),
+        p=st.floats(min_value=0.03, max_value=0.6),
+        graph_seed=st.integers(min_value=0, max_value=9999),
+        seed=st.integers(min_value=0, max_value=9999),
+        fraction=st.floats(min_value=0.05, max_value=0.9),
+        protect=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_greedy_reference(self, n, p, graph_seed, seed, fraction, protect):
+        g = er_graph(n, p, graph_seed)
+        if int(np.floor(fraction * g.edge_count + 1e-9)) < 1:
+            return  # rejected up front, covered by test_partition_invariants
+        try:
+            removed, negatives, kept = greedy_split(g, fraction, seed, protect)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=re.escape(str(err))):
+                make_split(g, fraction, seed, protect_connectivity=protect)
+            return
+        split = make_split(g, fraction, seed, protect_connectivity=protect)
+        assert split.test_edges.tolist() == [list(e) for e in removed]
+        assert split.test_non_edges.tolist() == [list(e) for e in negatives]
+        assert split.train_graph == Graph.from_edges(n, kept)
+
+    @given(
+        n=st.integers(min_value=4, max_value=60),
+        p=st.floats(min_value=0.02, max_value=0.25),
+        graph_seed=st.integers(min_value=0, max_value=9999),
+        seed=st.integers(min_value=0, max_value=9999),
+        fraction=st.floats(min_value=0.05, max_value=0.9),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_protected_count_is_edges_outside_a_spanning_forest(
+        self, n, p, graph_seed, seed, fraction
+    ):
+        g = er_graph(n, p, graph_seed)
+        target = int(np.floor(fraction * g.edge_count + 1e-9))
+        components, _ = connected_components(unit_adjacency(g).matrix, directed=False)
+        expected = min(target, g.edge_count - (n - components))
+        if target < 1 or expected < 1 or n * (n - 1) // 2 - g.edge_count < expected:
+            with pytest.raises(ValueError):
+                make_split(g, fraction, seed, protect_connectivity=True)
+            return
+        split = make_split(g, fraction, seed, protect_connectivity=True)
+        assert split.test_edges.shape[0] == expected
+        after, _ = connected_components(
+            unit_adjacency(split.train_graph).matrix, directed=False
+        )
+        assert after == components
 
 
 class TestCosineScores:
@@ -303,6 +408,18 @@ class TestKMeans:
         x = rng.normal(size=(30, 2))
         labels = kmeans_cluster(x, 5, seed=4)
         assert set(labels.tolist()) == set(range(5))
+
+    @given(
+        points=st.lists(st.integers(min_value=0, max_value=2), min_size=2, max_size=12),
+        k=st.integers(min_value=1, max_value=12),
+        seed=st.integers(min_value=0, max_value=9999),
+    )
+    @example(points=[0, 0, 0, 1, 1, 1], k=4, seed=0)  # two clusters empty at once
+    @settings(max_examples=200, deadline=None)
+    def test_k_nonempty_clusters_on_repeated_points(self, points, k, seed):
+        x = np.asarray(points, dtype=np.float64)[:, None]
+        k = min(k, x.shape[0])
+        assert set(kmeans_cluster(x, k, seed=seed).tolist()) == set(range(k))
 
 
 class TestSilhouette:

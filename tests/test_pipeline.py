@@ -13,17 +13,20 @@ import pytest
 from motifemb import (
     TrainConfig,
     embed_graph,
+    make_split,
     planted_partition,
     run_report,
     write_report_csv,
     write_report_json,
 )
+from motifemb import pipeline
 from motifemb.pipeline import (
     ALGORITHMS,
     LINKPRED_METRICS,
     REPORT_COLUMNS,
     VARIANTS,
     cluster_row,
+    gap_table,
     linkpred_row,
     summarize_rows,
 )
@@ -124,9 +127,8 @@ class TestEmbedGraph:
 
 class TestRows:
     def test_linkpred_row_shape(self, small_graph):
-        row = linkpred_row(
-            small_graph, "toy", "spectral", "base", FAST, seed=0, fraction=0.2
-        )
+        split = make_split(small_graph, fraction=0.2, seed=0)
+        row = linkpred_row(split, "toy", "spectral", "base", FAST)
         assert set(row) == set(REPORT_COLUMNS)
         assert row["dataset"] == "toy" and row["seed"] == 0
         for metric in LINKPRED_METRICS:
@@ -173,6 +175,21 @@ class TestRunReport:
         assert len(rows) == 1
         assert rows[0]["seed"] == 0
 
+    def test_one_split_per_seed(self, small_graph, monkeypatch):
+        seeds_split = []
+
+        def recording_split(g, fraction, seed):
+            seeds_split.append(seed)
+            return make_split(g, fraction, seed)
+
+        monkeypatch.setattr(pipeline, "make_split", recording_split)
+        rows = run_report(
+            small_graph, "toy", "linkpred", algorithms=("spectral", "line"),
+            variants=VARIANTS, seeds=(0, 1), config=FAST, fraction=0.2,
+        )
+        assert seeds_split == [0, 1]
+        assert len(rows) == 2 * 2 * 2 + 4
+
     def test_unknown_task_rejected(self, small_graph):
         with pytest.raises(ValueError):
             run_report(small_graph, "toy", "classify", config=FAST)
@@ -198,6 +215,17 @@ class TestSummaries:
         assert summary["seed"] == "summary"
         assert summary["auc"] == "0.600000±0.100000"
         assert summary["sc"] == ""
+
+    def test_gap_table_skips_summaries(self):
+        rows = []
+        for variant, aucs in (("base", [0.5, 0.7]), ("mo", [0.8, 0.8])):
+            for seed, auc in enumerate(aucs):
+                row = {c: "" for c in REPORT_COLUMNS}
+                row.update(dataset="d", algorithm="line", variant=variant, seed=seed, auc=auc)
+                rows.append(row)
+        header, line = gap_table(rows + summarize_rows(rows), "auc").splitlines()
+        assert header.split() == ["algorithm", "base", "mo", "gap"]
+        assert line.split() == ["line", "0.6000±0.1000", "0.8000±0.0000", "+0.2000"]
 
     def test_existing_summaries_ignored(self):
         row = {c: "" for c in REPORT_COLUMNS}

@@ -3,6 +3,7 @@ as a subprocess on a tiny input, so an API change that breaks a script
 fails here instead of at the next experiment run."""
 from __future__ import annotations
 
+import csv
 import os
 import shutil
 import subprocess
@@ -53,3 +54,27 @@ def test_dataset_report_without_datasets(tmp_path):
     proc = run_script(script)
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "no datasets present, nothing to do"
+
+
+def test_dataset_report_grid(tmp_path):
+    # a copy beside a datasets/ directory holding one small "wiki" graph:
+    # a 30-node ring with chords
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "datasets").mkdir()
+    ring = [(i, (i + 1) % 30) for i in range(30)] + [(i, (i + 7) % 30) for i in range(0, 30, 3)]
+    (tmp_path / "datasets" / "wiki.edges").write_text("".join(f"{u} {v}\n" for u, v in ring))
+    script = tmp_path / "scripts" / "dataset_report.py"
+    shutil.copy(SCRIPTS / "dataset_report.py", script)
+    out_dir = tmp_path / "out"
+    proc = run_script(
+        script, "--datasets", "wiki", "--seeds", "2", "--dim", "4", "--epochs", "1",
+        "--walks-per-node", "1", "--walk-length", "5", "--task", "both",
+        "--out-dir", str(out_dir),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "== wiki: AUC over 2 seeds" in proc.stdout
+    assert "== wiki: silhouette over 2 seeds" in proc.stdout
+    with open(out_dir / "wiki.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    # 2 tasks x 4 algorithms x 2 variants x 2 seeds
+    assert sum(row["seed"] != "summary" for row in rows) == 32
