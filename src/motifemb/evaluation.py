@@ -267,24 +267,48 @@ class SilhouetteReport:
     score: float  # mean over all points
 
 
+_SILHOUETTE_BLOCK_FLOATS = 1 << 22  # distances held at once: 32 MB of float64
+
+
 def silhouette_score(x: np.ndarray, labels: np.ndarray) -> SilhouetteReport:
     """s(i) = (b - a) / max(a, b) with Euclidean distances; a is the mean
     distance to the rest of i's cluster, b the smallest mean distance to
-    any other cluster. Points in singleton clusters get s = 0."""
+    any other cluster. Points in singleton clusters, and points with
+    max(a, b) = 0, get s = 0.
+
+    Distances are taken in row blocks of max(1, 2**22 // n) rows against
+    all n points, so at most max(2**22, n) of them (32 MB up to 4M points)
+    are held at once instead of the n x n matrix.
+    """
     x = np.asarray(x, dtype=np.float64)
     labels = np.asarray(labels)
-    uniq = np.unique(labels)
-    if uniq.size < 2:
+    if x.ndim != 2 or labels.shape != x.shape[:1]:
+        raise ValueError(f"need 2-D x and 1-D labels with one label per row of x; "
+                         f"got x of shape {x.shape} and labels of shape {labels.shape}")
+    n = x.shape[0]
+    # sorted by label, each cluster is one contiguous column range whose
+    # members keep their ascending original order
+    order = np.argsort(labels, kind="stable")
+    sorted_labels = labels[order]
+    starts = np.flatnonzero(np.r_[True, sorted_labels[1:] != sorted_labels[:-1]])
+    if starts.size < 2:
         raise ValueError("silhouette needs at least two clusters")
-    dist = cdist(x, x)
-    members = {c: np.flatnonzero(labels == c) for c in uniq}
-    values = np.zeros(x.shape[0])
-    for i in range(x.shape[0]):
-        own = members[labels[i]]
-        if own.size == 1:
-            continue
-        a = dist[i, own].sum() / (own.size - 1)
-        b = min(dist[i, members[c]].mean() for c in uniq if c != labels[i])
-        denom = max(a, b)
-        values[i] = (b - a) / denom if denom > 0 else 0.0
+    sizes = np.diff(np.r_[starts, n])
+    cluster_of = np.repeat(np.arange(starts.size), sizes)
+    xs = x[order]
+    step = max(1, _SILHOUETTE_BLOCK_FLOATS // n)
+    by_label = np.zeros(n)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        own = cluster_of[lo:hi]
+        at_own = (np.arange(hi - lo), own)
+        sums = np.add.reduceat(cdist(xs[lo:hi], xs), starts, axis=1)
+        a = sums[at_own] / np.maximum(sizes[own] - 1, 1)
+        means = sums / sizes
+        means[at_own] = np.inf
+        b = means.min(axis=1)
+        denom = np.maximum(a, b)
+        np.divide(b - a, denom, out=by_label[lo:hi], where=(sizes[own] > 1) & (denom > 0))
+    values = np.empty(n)
+    values[order] = by_label
     return SilhouetteReport(values, float(values.mean()))

@@ -30,7 +30,7 @@ from .evaluation import (
 )
 from .graph import Graph
 from .line import train_line
-from .motifs import build_motif_adjacency, build_transition_model, count_triangles
+from .motifs import MotifStats, build_motif_adjacency, build_transition_model, count_triangles
 from .sgns import train_sgns
 from .spectral import train_spectral
 from .walks import generate_walks, node2vec_walks
@@ -78,12 +78,15 @@ def embed_graph(
     config: TrainConfig = TrainConfig(),
     mode: str = "strict",
     seed: int | None = None,
+    stats: MotifStats | None = None,
 ) -> EmbeddingMatrix:
     """Dispatch to one of the four back-ends, motif-enhanced or not.
 
     The "mo" variant biases walk transitions (deepwalk/node2vec) or edge
     weights (line/spectral) by triangle participation; "base" leaves the
-    graph unweighted.
+    graph unweighted. ``stats`` are the triangle counts of ``g``, read only
+    by "mo"; None counts them here, and counts from another graph raise
+    ValueError.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
@@ -92,9 +95,10 @@ def embed_graph(
     if mode not in MODES:
         raise ValueError(f"unknown motif mode {mode!r}, expected one of {MODES}")
     seed = config.seed if seed is None else seed
-    stats = count_triangles(g) if variant == "mo" else None
+    enhanced = variant == "mo"
+    if enhanced and stats is None:
+        stats = count_triangles(g)
 
-    enhanced = stats is not None
     if algorithm in ("deepwalk", "node2vec"):
         transitions = build_transition_model(g, stats, mode) if enhanced else None
         if algorithm == "deepwalk":
@@ -133,11 +137,14 @@ def linkpred_row(
     config: TrainConfig,
     threshold: float | None = None,
     mode: str = "strict",
+    stats: MotifStats | None = None,
 ) -> dict:
     """Embed the split's TRAIN graph with the split's seed, then score its
-    held-out edges against its sampled non-edges."""
+    held-out edges against its sampled non-edges. ``stats``, if given, are
+    the train graph's triangle counts (see embed_graph)."""
     seed = split.seed
-    emb = embed_graph(split.train_graph, algorithm, variant, config.with_seed(seed), mode, seed)
+    emb = embed_graph(split.train_graph, algorithm, variant, config.with_seed(seed), mode,
+                      seed, stats)
     pos, z_pos = cosine_scores(emb, split.test_edges)
     neg, z_neg = cosine_scores(emb, split.test_non_edges)
     report = compute_metrics(pos, neg, threshold, z_pos + z_neg)
@@ -155,8 +162,9 @@ def cluster_row(
     seed: int,
     clusters: int = 2,
     mode: str = "strict",
+    stats: MotifStats | None = None,
 ) -> dict:
-    emb = embed_graph(g, algorithm, variant, config.with_seed(seed), mode, seed)
+    emb = embed_graph(g, algorithm, variant, config.with_seed(seed), mode, seed, stats)
     labels = kmeans_cluster(emb.vectors, clusters, seed)
     row = _blank_row(dataset, algorithm, variant, seed)
     row["sc"] = silhouette_score(emb.vectors, labels).score
@@ -176,20 +184,26 @@ def run_report(
 ) -> list[dict]:
     """All (algorithm, variant, seed) rows for one task, sorted, plus one
     summary row per (algorithm, variant) when there are multiple seeds.
-    Every linkpred row of a seed scores against that seed's one split."""
+    Every linkpred row of a seed scores against that seed's one split.
+    Triangles are counted once per graph embedded: once for a cluster
+    report, once per seed's train graph for linkpred, never without "mo"."""
     if task not in ("linkpred", "cluster"):
         raise ValueError(f"unknown task {task!r}")
+    needs_stats = "mo" in variants
+    stats = count_triangles(g) if needs_stats and task == "cluster" else None
     rows = []
     for seed in map(int, seeds):
-        split = make_split(g, fraction, seed) if task == "linkpred" else None
+        if task == "linkpred":
+            split = make_split(g, fraction, seed)
+            stats = count_triangles(split.train_graph) if needs_stats else None
         for algorithm in algorithms:
             for variant in variants:
-                if split is not None:
+                if task == "linkpred":
                     row = linkpred_row(split, dataset, algorithm, variant, config,
-                                       **task_kwargs)
+                                       stats=stats, **task_kwargs)
                 else:
                     row = cluster_row(g, dataset, algorithm, variant, config, seed,
-                                      **task_kwargs)
+                                      stats=stats, **task_kwargs)
                 rows.append(row)
     rows.sort(key=lambda r: (r["dataset"], r["algorithm"], r["variant"], r["seed"]))
     if len(seeds) > 1:

@@ -23,6 +23,7 @@ from motifemb import (
     silhouette_score,
     unit_adjacency,
 )
+from motifemb import evaluation
 from motifemb.evaluation import confusion_at_threshold, metrics_from_counts
 
 from conftest import er_graph
@@ -32,8 +33,8 @@ def cycle(n: int) -> Graph:
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def brute_silhouette(x: np.ndarray, labels: np.ndarray) -> float:
-    """Plain-loop reimplementation straight from the definition."""
+def brute_silhouette_values(x: np.ndarray, labels: np.ndarray) -> list[float]:
+    """Plain-loop reimplementation of s(i) straight from the definition."""
     n = x.shape[0]
     vals = []
     for i in range(n):
@@ -48,7 +49,11 @@ def brute_silhouette(x: np.ndarray, labels: np.ndarray) -> float:
             if c != labels[i]
         )
         vals.append(0.0 if max(a, b) == 0 else (b - a) / max(a, b))
-    return float(np.mean(vals))
+    return vals
+
+
+def brute_silhouette(x: np.ndarray, labels: np.ndarray) -> float:
+    return float(np.mean(brute_silhouette_values(x, labels)))
 
 
 def greedy_split(g: Graph, fraction: float, seed: int, protect_connectivity: bool):
@@ -456,22 +461,51 @@ class TestSilhouette:
         with pytest.raises(ValueError):
             silhouette_score(np.zeros((4, 2)), np.zeros(4, dtype=int))
 
+    @pytest.mark.parametrize("x_shape, labels", [
+        ((4, 2), [0, 0, 1, 1, 1]),
+        ((4, 2), [0, 1, 1]),
+        ((4, 2), [[0, 1], [0, 1]]),
+        ((4, 2), [[0], [0], [1], [1]]),
+        ((4,), [0, 0, 1, 1]),
+    ])
+    def test_malformed_shapes_rejected(self, x_shape, labels):
+        x, labels = np.zeros(x_shape), np.array(labels)
+        both = re.escape(str(x.shape)) + ".*" + re.escape(str(labels.shape))
+        with pytest.raises(ValueError, match=both):
+            silhouette_score(x, labels)
+
     @given(
         seed=st.integers(min_value=0, max_value=99_999),
         n=st.integers(min_value=4, max_value=50),
         k=st.integers(min_value=2, max_value=5),
+        singletons=st.integers(min_value=0, max_value=2),
+        duplicates=st.booleans(),
     )
+    @example(seed=0, n=4, k=2, singletons=2, duplicates=True)
     @settings(max_examples=100, deadline=None)
-    def test_matches_brute_force(self, seed, n, k):
+    def test_matches_brute_force(self, seed, n, k, singletons, duplicates):
         rng = np.random.default_rng(seed)
         k = min(k, n)
-        x = rng.normal(size=(n, 3))
-        # force every cluster nonempty, then scatter the rest randomly
+        x = rng.normal(size=(n + singletons, 3))
+        if duplicates:  # repeated points, some in one cluster, some across
+            x[rng.integers(0, n, size=n // 2)] = x[rng.integers(0, n, size=n // 2)]
+        # force every cluster nonempty, scatter the rest randomly, then add
+        # the singleton clusters
         labels = np.concatenate(
-            [np.arange(k), rng.integers(0, k, size=n - k)]
+            [np.arange(k), rng.integers(0, k, size=n - k), k + np.arange(singletons)]
         )
         rng.shuffle(labels)
-        rep = silhouette_score(x, labels)
-        assert rep.score == pytest.approx(brute_silhouette(x, labels), abs=1e-9)
-        assert np.all(rep.values >= -1 - 1e-12) and np.all(rep.values <= 1 + 1e-12)
-        assert rep.score == pytest.approx(float(rep.values.mean()), abs=1e-15)
+        # unsorted, non-contiguous cluster ids
+        labels = (rng.permutation(k + singletons) * 7 - 3)[labels]
+        expected = brute_silhouette_values(x, labels)
+        m = x.shape[0]
+        # the default budget is one block; then one row per block, blocks of
+        # 3 rows, and m - 1 rows followed by a 1-row final block
+        for budget in (evaluation._SILHOUETTE_BLOCK_FLOATS, 1, 3 * m, m * (m - 1)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(evaluation, "_SILHOUETTE_BLOCK_FLOATS", budget)
+                rep = silhouette_score(x, labels)
+            assert np.allclose(rep.values, expected, rtol=0, atol=1e-9)
+            assert rep.score == pytest.approx(float(np.mean(expected)), abs=1e-9)
+            assert np.all(rep.values >= -1 - 1e-12) and np.all(rep.values <= 1 + 1e-12)
+            assert rep.score == pytest.approx(float(rep.values.mean()), abs=1e-15)

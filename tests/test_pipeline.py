@@ -12,6 +12,7 @@ import pytest
 
 from motifemb import (
     TrainConfig,
+    count_triangles,
     embed_graph,
     make_split,
     planted_partition,
@@ -124,6 +125,12 @@ class TestEmbedGraph:
             b = embed_graph(small_graph, algorithm, "mo", FAST, "strict", seed=2)
             assert np.array_equal(a.vectors, b.vectors), algorithm
 
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_stats_of_another_graph_rejected(self, small_graph, algorithm):
+        other = er_graph(18, 0.3, seed=2)
+        with pytest.raises(ValueError, match="different graph"):
+            embed_graph(small_graph, algorithm, "mo", FAST, stats=count_triangles(other))
+
 
 class TestRows:
     def test_linkpred_row_shape(self, small_graph):
@@ -189,6 +196,39 @@ class TestRunReport:
         )
         assert seeds_split == [0, 1]
         assert len(rows) == 2 * 2 * 2 + 4
+
+    @pytest.mark.parametrize("task, variants, calls", [
+        ("cluster", VARIANTS, 1),
+        ("linkpred", VARIANTS, 2),
+        ("cluster", ("base",), 0),
+        ("linkpred", ("base",), 0),
+    ])
+    def test_one_triangle_count_per_graph(self, small_graph, monkeypatch, task,
+                                          variants, calls):
+        kw = dict(algorithms=("deepwalk", "spectral"), variants=variants, seeds=(0, 1),
+                  config=FAST, fraction=0.2)
+        # the same rows, with embed_graph counting the triangles itself
+        expected = []
+        for seed in kw["seeds"]:
+            split = make_split(small_graph, kw["fraction"], seed) if task == "linkpred" else None
+            for algorithm in kw["algorithms"]:
+                for variant in variants:
+                    if split is not None:
+                        expected.append(linkpred_row(split, "toy", algorithm, variant, FAST))
+                    else:
+                        expected.append(cluster_row(small_graph, "toy", algorithm, variant,
+                                                    FAST, seed))
+        expected.sort(key=lambda r: (r["algorithm"], r["variant"], r["seed"]))
+        counted = []
+
+        def recording_count(g):
+            counted.append(g)
+            return count_triangles(g)
+
+        monkeypatch.setattr(pipeline, "count_triangles", recording_count)
+        rows = run_report(small_graph, "toy", task, **kw)
+        assert len(counted) == calls
+        assert rows[:len(expected)] == expected
 
     def test_unknown_task_rejected(self, small_graph):
         with pytest.raises(ValueError):
