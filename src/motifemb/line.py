@@ -17,7 +17,7 @@ from .config import TrainConfig
 from .embedding import EmbeddingMatrix
 from .graph import Graph
 from .motifs import WeightedAdjacency, unit_adjacency
-from .sgns import LR_FLOOR_FACTOR, sgns_step
+from .sgns import LR_FLOOR_FACTOR, CumulativeSampler, sgns_step
 
 __all__ = ["edge_sampling_tables", "train_line"]
 
@@ -28,9 +28,8 @@ def edge_sampling_tables(g: Graph, weights: WeightedAdjacency):
     if w.sum() <= 0:
         raise ValueError("all edge weights are zero; nothing to sample")
     edge_cum = np.cumsum(w / w.sum())
-    wdeg = np.zeros(g.node_count)
-    np.add.at(wdeg, g.edges[:, 0], w)
-    np.add.at(wdeg, g.edges[:, 1], w)
+    # endpoint 0 of every edge, then endpoint 1: each node's sum in edge order
+    wdeg = np.bincount(g.edges.T.ravel(), weights=np.tile(w, 2), minlength=g.node_count)
     noise = wdeg**0.75
     noise /= noise.sum()
     return edge_cum, noise
@@ -45,6 +44,8 @@ def _train_one_order(
     rng: np.random.Generator,
 ) -> np.ndarray:
     edge_cum, noise = edge_sampling_tables(g, weights)
+    edge_picks = CumulativeSampler(edge_cum)
+    negatives = CumulativeSampler.from_probabilities(noise)
     n = g.node_count
     w_center = (rng.random((n, dim)) - 0.5) / dim
     # first order: one shared matrix plays both roles
@@ -57,15 +58,14 @@ def _train_one_order(
     while processed < total:
         b = min(config.batch_size, total - processed)
         lr = max(lr0 * (1.0 - processed / total), lr0 * LR_FLOOR_FACTOR)
-        picks = np.searchsorted(edge_cum, rng.random(b), side="right")
-        picks = np.minimum(picks, edge_cum.size - 1)
+        picks = edge_picks.draw(rng, b)
         src = g.edges[picks, 0].astype(np.int64)
         dst = g.edges[picks, 1].astype(np.int64)
         flip = rng.random(b) < 0.5
         src, dst = np.where(flip, dst, src), np.where(flip, src, dst)
         ctx_idx = np.empty((b, 1 + k), dtype=np.int64)
         ctx_idx[:, 0] = dst
-        ctx_idx[:, 1:] = rng.choice(n, size=(b, k), p=noise)
+        ctx_idx[:, 1:] = negatives.draw(rng, (b, k))
         sgns_step(w_center, w_ctx, src, ctx_idx, lr)
         processed += b
     return w_center

@@ -6,6 +6,12 @@ Updates run in fixed-order minibatches with exact gradient accumulation
 for a given corpus, config, and seed. The learning rate decays linearly
 over the total pair budget with a floor of 1e-4 times the initial rate.
 
+SGNS and LINE share one update, ``sgns_step``, whose scatter kernel sums
+each row's gradients in batch order with one ``bincount``, and one sampler,
+``CumulativeSampler``, built once per run (per order in LINE). The sampler
+draws exactly what ``rng.choice(n, size, p=noise)`` and LINE's clamped
+``searchsorted`` edge pick draw, from the same generator calls.
+
 Because contexts start at zero, center vectors receive no gradient until
 the second minibatch; keep batch_size well below the pair count (or epochs
 above 1) or the run degenerates to the random init.
@@ -27,6 +33,7 @@ __all__ = [
     "pair_gradients",
     "extract_pairs",
     "noise_distribution",
+    "CumulativeSampler",
     "sgns_step",
     "train_sgns",
 ]
@@ -35,13 +42,10 @@ LR_FLOOR_FACTOR = 1e-4
 
 
 def sigmoid(x):
+    # 1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below; exp never overflows
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def log_sigmoid(x):
@@ -87,23 +91,83 @@ def extract_pairs(corpus: WalkCorpus, window: int) -> tuple[np.ndarray, np.ndarr
 
 def noise_distribution(corpus: WalkCorpus, node_count: int, power: float = 0.75) -> np.ndarray:
     """Unigram^power negative-sampling distribution over corpus tokens."""
-    counts = np.zeros(node_count, dtype=np.float64)
-    for walk in corpus.walks:
-        np.add.at(counts, walk, 1.0)
-    weights = counts**power
+    tokens = np.concatenate(corpus.walks) if corpus.walks else np.empty(0, np.int64)
+    counts = np.bincount(tokens, minlength=node_count)
+    if counts.size > node_count:
+        raise IndexError(f"corpus holds node {counts.size - 1} but node_count is {node_count}")
+    weights = counts.astype(np.float64) ** power
     total = weights.sum()
     if total <= 0:
         raise ValueError("empty corpus: no tokens to build a noise distribution from")
     return weights / total
 
 
+class CumulativeSampler:
+    """Draws ``min(searchsorted(cum, rng.random(shape), "right"), n - 1)``.
+
+    ``cum`` is a non-decreasing cumulative weight array of length n. The
+    table is built once; each draw makes one ``rng.random(shape)`` call and
+    nothing else, so it returns and consumes exactly what that expression
+    does, and ``from_probabilities(p)`` reproduces ``rng.choice(n, shape,
+    p=p)``. Lookup is Chen & Asau's cutpoint method: only the positions
+    where ``cum`` steps up can be returned, m (a power of two at least
+    their count) buckets of [0, 1) each store the first candidate above
+    their lower edge, and a branchless binary search over the few
+    candidates in the drawn bucket finishes the job. ``u * m`` is exact,
+    so every bucket bound is exact too.
+    """
+
+    def __init__(self, cum: np.ndarray):
+        cum = np.asarray(cum, dtype=np.float64)
+        if cum.ndim != 1 or cum.size == 0 or not np.all(np.isfinite(cum)):
+            raise ValueError("cumulative weights must be a non-empty finite 1-D array")
+        if np.any(cum[1:] < cum[:-1]):
+            raise ValueError("cumulative weights must be non-decreasing")
+        steps = np.empty(cum.size, dtype=bool)
+        steps[0] = True
+        np.greater(cum[1:], cum[:-1], out=steps[1:])
+        # a u past the last value maps to the last index (the clamp)
+        self._ids = np.append(np.flatnonzero(steps), cum.size - 1)
+        vals = cum[steps]
+        self._buckets = 1 << (vals.size - 1).bit_length()
+        bounds = np.arange(self._buckets + 1) / self._buckets
+        guide = np.searchsorted(vals, bounds, side="right")
+        # the answer for u in bucket j lies in guide[j] .. guide[j + 1]
+        width = int(np.max(np.diff(guide)))
+        self._strides = [1 << s for s in reversed(range(width.bit_length()))]
+        self._vals = np.concatenate([vals, np.full(1 << width.bit_length(), np.inf)])
+        self._guide = guide[:-1]
+
+    @classmethod
+    def from_probabilities(cls, p: np.ndarray) -> "CumulativeSampler":
+        """The cumulative table ``rng.choice(len(p), size, p=p)`` builds."""
+        cdf = np.cumsum(np.asarray(p, dtype=np.float64))
+        cdf /= cdf[-1]
+        return cls(cdf)
+
+    def draw(self, rng: np.random.Generator, shape) -> np.ndarray:
+        u = rng.random(shape)
+        i = self._guide[(u * self._buckets).astype(np.intp)]
+        for stride in self._strides:
+            i += (self._vals[i + (stride - 1)] <= u) * stride
+        return self._ids[i]
+
+
 def _scatter_add(matrix: np.ndarray, idx: np.ndarray, grads: np.ndarray) -> None:
-    """matrix[idx] += grads with duplicate idx rows summed; deterministic."""
-    order = np.argsort(idx, kind="stable")
-    idx_sorted = idx[order]
-    grads_sorted = grads[order]
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(idx_sorted)) + 1))
-    matrix[idx_sorted[starts]] += np.add.reduceat(grads_sorted, starts, axis=0)
+    """matrix[idx] += grads with duplicate idx rows summed; deterministic.
+
+    One flat ``bincount`` over the touched rows sums each row's gradients
+    in batch order, so the result equals ``np.add.at`` into a zero buffer
+    followed by one add per touched row, bit for bit.
+    """
+    d = matrix.shape[1]
+    touched = np.zeros(matrix.shape[0], dtype=bool)
+    touched[idx] = True
+    rows = np.flatnonzero(touched)
+    local = np.cumsum(touched) - 1
+    flat = (local[idx] * d)[:, None] + np.arange(d)
+    sums = np.bincount(flat.ravel(), weights=grads.ravel(), minlength=rows.size * d)
+    matrix[rows] += sums.reshape(rows.size, d)
 
 
 def sgns_step(
@@ -128,7 +192,7 @@ def sgns_step(
     _scatter_add(
         w_ctx,
         ctx_idx.reshape(-1),
-        (lr * g_score)[:, :, None].reshape(-1, 1) * np.repeat(c_vec, ctx_idx.shape[1], axis=0),
+        ((lr * g_score)[:, :, None] * c_vec[:, None, :]).reshape(-1, c_vec.shape[1]),
     )
 
 
@@ -154,7 +218,7 @@ def train_sgns(
     centers, contexts = extract_pairs(corpus, config.window)
     if centers.size == 0:
         raise ValueError("corpus yields no training pairs; walks too short?")
-    noise = noise_distribution(corpus, node_count)
+    negatives = CumulativeSampler.from_probabilities(noise_distribution(corpus, node_count))
     k = config.negatives
     lr0 = config.learning_rate
     total_budget = centers.size * config.epochs
@@ -167,7 +231,7 @@ def train_sgns(
             lr = max(lr0 * (1.0 - processed / total_budget), lr0 * LR_FLOOR_FACTOR)
             ctx_idx = np.empty((b, 1 + k), dtype=np.int64)
             ctx_idx[:, 0] = contexts[batch]
-            ctx_idx[:, 1:] = rng.choice(node_count, size=(b, k), p=noise)
+            ctx_idx[:, 1:] = negatives.draw(rng, (b, k))
             sgns_step(w_center, w_ctx, centers[batch], ctx_idx, lr)
             processed += b
     emb = EmbeddingMatrix(w_center, {"trainer": "sgns", **asdict(config)})

@@ -53,6 +53,24 @@ def er_graph(n: int, p: float, seed: int) -> Graph:
 
 
 @pytest.fixture
+def step_log(monkeypatch) -> list:
+    """(center_idx, ctx_idx) of every sgns_step call SGNS or LINE makes."""
+    import motifemb.line
+    import motifemb.sgns
+
+    log = []
+    real_step = motifemb.sgns.sgns_step
+
+    def recording_step(w_center, w_ctx, center_idx, ctx_idx, lr):
+        log.append((center_idx.copy(), ctx_idx.copy()))
+        real_step(w_center, w_ctx, center_idx, ctx_idx, lr)
+
+    for module in (motifemb.sgns, motifemb.line):
+        monkeypatch.setattr(module, "sgns_step", recording_step)
+    return log
+
+
+@pytest.fixture
 def k3() -> Graph:
     return Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
 

@@ -1,6 +1,6 @@
 """Edge-sampling embeddings: sampling-table semantics (chi-square), the
-noise distribution formula, order variants, and separation behavior on a
-bridged-communities toy graph."""
+noise distribution formula, the generator draws of a training run, order
+variants, and separation behavior on a bridged-communities toy graph."""
 from __future__ import annotations
 
 import numpy as np
@@ -17,6 +17,8 @@ from motifemb import (
 )
 from motifemb.line import edge_sampling_tables
 from motifemb.motifs import WeightedAdjacency
+
+from conftest import er_graph
 
 
 def line_config(**kw) -> TrainConfig:
@@ -53,6 +55,21 @@ class TestSamplingTables:
         deg = np.array([2.0, 2.0, 3.0, 1.0]) ** 0.75
         assert np.allclose(noise, deg / deg.sum(), atol=1e-15)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_noise_equals_two_endpoint_passes(self, seed):
+        rng = np.random.default_rng(seed)
+        g = er_graph(20, 0.3, seed=seed)
+        w = rng.random(g.edge_count) * (rng.random(g.edge_count) < 0.8)
+        w[0] = 1.0
+        weights = WeightedAdjacency(node_count=20, edge_weights=w, matrix=sp.csr_matrix((20, 20)))
+        wdeg = np.zeros(20)
+        np.add.at(wdeg, g.edges[:, 0], w)
+        np.add.at(wdeg, g.edges[:, 1], w)
+        want = wdeg**0.75
+        want /= want.sum()
+        _, noise = edge_sampling_tables(g, weights)
+        assert noise.tobytes() == want.tobytes()
+
     def test_all_zero_weights_rejected(self, tri_pendant):
         dead = WeightedAdjacency(
             node_count=4,
@@ -71,6 +88,41 @@ class TestTrainLine:
         assert emb.vectors.shape == (6, 8)
         assert np.all(np.isfinite(emb.vectors))
         assert emb.provenance["trainer"] == "line"
+
+    @pytest.mark.parametrize("order", ["first", "second", "concat"])
+    def test_draws_replay_searchsorted_and_choice_stream(self, tri_pendant, order, step_log):
+        # replay of the draws the samplers replaced: per order the init, then
+        # per batch a clamped searchsorted edge pick, a flip and a (b, k)
+        # rng.choice; zero weights at both ends of the edge table, and node 3
+        # gets noise probability zero
+        g = tri_pendant
+        w = np.array([0.0, 1.5, 1.0, 0.0])
+        weights = WeightedAdjacency(node_count=4, edge_weights=w, matrix=sp.csr_matrix((4, 4)))
+        cfg = line_config(line_order=order, epochs=2, line_samples_factor=30, batch_size=40)
+        train_line(g, weights, cfg, seed=5)
+
+        edge_cum, noise = edge_sampling_tables(g, weights)
+        e = g.edge_count
+        if order == "concat":
+            runs = [(np.random.default_rng(s), 4) for s in np.random.SeedSequence(5).spawn(2)]
+        else:
+            runs = [(np.random.default_rng(5), 8)]
+        want = []
+        for rng, dim in runs:
+            rng.random((4, dim))
+            total = cfg.epochs * cfg.line_samples_factor * e
+            for lo in range(0, total, cfg.batch_size):
+                b = min(cfg.batch_size, total - lo)
+                picks = np.minimum(np.searchsorted(edge_cum, rng.random(b), side="right"), e - 1)
+                flip = rng.random(b) < 0.5
+                negs = rng.choice(4, size=(b, cfg.negatives), p=noise)
+                src = np.where(flip, g.edges[picks, 1], g.edges[picks, 0])
+                dst = np.where(flip, g.edges[picks, 0], g.edges[picks, 1])
+                want.append((src, np.column_stack([dst, negs])))
+        assert len(step_log) == len(want)
+        for (center_idx, ctx_idx), (want_center, want_ctx) in zip(step_log, want):
+            assert np.array_equal(center_idx, want_center)
+            assert np.array_equal(ctx_idx, want_ctx)
 
     def test_concat_needs_even_dim(self, two_triangles_bridged):
         with pytest.raises(ValueError):
