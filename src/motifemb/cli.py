@@ -206,7 +206,7 @@ def cmd_embed(run: RunConfig) -> int:
         raise ValueError("embed needs exactly one --variant (base or mo)")
     if not run.out:
         raise ValueError("embed needs --out FILE")
-    emb = embed_graph(g, algorithms[0], variants[0], run.train_config(), run.mode, run.seed)
+    emb = embed_graph(g, algorithms[0], variants[0], run.train_config(), run.mode)
     if run.emb_format == "binary":
         save_embedding_binary(emb, run.out)
     else:

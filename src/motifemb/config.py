@@ -19,8 +19,9 @@ def field_types(cls) -> dict[str, object]:
 class TrainConfig:
     """Embedding hyperparameters with conventional skip-gram defaults.
 
-    Every trainer is deterministic given (graph, config, seed); defaults are
-    recorded into each embedding's provenance so results stay reproducible.
+    Every trainer is deterministic given (graph, config) and reads its seed
+    from ``seed`` alone; spectral reads no seed. Defaults are recorded into
+    each embedding's provenance so results stay reproducible.
     A field annotated with a ``Literal`` only accepts the listed values, in
     this class and in every subclass.
     """

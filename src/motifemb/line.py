@@ -75,20 +75,18 @@ def train_line(
     g: Graph,
     weights: WeightedAdjacency | None,
     config: TrainConfig,
-    seed: int | None = None,
 ) -> EmbeddingMatrix:
     if weights is None:
         weights = unit_adjacency(g)
-    base_seed = config.seed if seed is None else seed
     order = config.line_order
     if order in ("first", "second"):
-        rng = np.random.default_rng(base_seed)
+        rng = np.random.default_rng(config.seed)
         vectors = _train_one_order(g, weights, config.dim, order, config, rng)
     else:
         if config.dim % 2:
             raise ValueError("concat order needs an even dimension")
         half = config.dim // 2
-        seeds = np.random.SeedSequence(base_seed).spawn(2)
+        seeds = np.random.SeedSequence(config.seed).spawn(2)
         first = _train_one_order(
             g, weights, half, "first", config, np.random.default_rng(seeds[0])
         )

@@ -2,7 +2,6 @@
 structures: a motif-weighted adjacency matrix and motif-biased walk transitions."""
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -86,11 +85,6 @@ class WeightedAdjacency:
 
     def weight(self, u: int, v: int) -> float:
         return float(self.matrix[u, v])
-
-    def write_coo(self, buf: io.TextIOBase, edges: np.ndarray) -> None:
-        """Dump one `i j weight` line per canonical edge."""
-        for (u, v), w in zip(edges, self.edge_weights):
-            buf.write(f"{int(u)} {int(v)} {float(w)!r}\n")
 
 
 def _assemble(g: Graph, per_edge: np.ndarray) -> sp.csr_matrix:
@@ -181,9 +175,8 @@ def build_transition_model(
     _check_stats_match(g, stats)
     if mode == "strict":
         masses = _per_position_values(g, stats.edge_values)
-        cum = np.concatenate([[0.0], np.cumsum(masses)])
-        row_sums = cum[g.indptr[1:]] - cum[g.indptr[:-1]]
-        dead = (row_sums == 0) & (g.degrees > 0)
+        # a node's incident edge motif degrees sum to twice its node degree
+        dead = (stats.node_degree == 0) & (g.degrees > 0)
         if np.any(dead):
             fallback = np.repeat(dead, g.degrees)
             masses = np.where(fallback, 1.0, masses)

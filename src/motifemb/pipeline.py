@@ -54,6 +54,9 @@ ALGORITHMS = ("deepwalk", "node2vec", "line", "spectral")
 VARIANTS = ("base", "mo")
 MotifMode = Literal["strict", "smoothed"]
 MODES = get_args(MotifMode)
+# back-ends whose embedding depends on the graph alone: spectral reads no
+# seed, so a cluster report embeds its graph once per variant for them
+SEED_FREE = ("spectral",)
 
 REPORT_COLUMNS = (
     "dataset",
@@ -77,7 +80,6 @@ def embed_graph(
     variant: str = "base",
     config: TrainConfig = TrainConfig(),
     mode: str = "strict",
-    seed: int | None = None,
     stats: MotifStats | None = None,
 ) -> EmbeddingMatrix:
     """Dispatch to one of the four back-ends, motif-enhanced or not.
@@ -94,7 +96,6 @@ def embed_graph(
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     if mode not in MODES:
         raise ValueError(f"unknown motif mode {mode!r}, expected one of {MODES}")
-    seed = config.seed if seed is None else seed
     enhanced = variant == "mo"
     if enhanced and stats is None:
         stats = count_triangles(g)
@@ -102,23 +103,22 @@ def embed_graph(
     if algorithm in ("deepwalk", "node2vec"):
         transitions = build_transition_model(g, stats, mode) if enhanced else None
         if algorithm == "deepwalk":
-            corpus = generate_walks(g, transitions, config, seed)
+            corpus = generate_walks(g, transitions, config)
         else:
-            corpus = node2vec_walks(g, transitions, config.p, config.q, config, seed)
-        emb = train_sgns(corpus, config, seed, g.node_count)
+            corpus = node2vec_walks(g, transitions, config)
+        emb = train_sgns(corpus, config, g.node_count)
     else:
         weights = build_motif_adjacency(g, stats) if enhanced else None
         if algorithm == "line":
-            emb = train_line(g, weights, config, seed)
+            emb = train_line(g, weights, config)
         else:
-            emb = train_spectral(g, weights, config.dim, seed)
+            emb = train_spectral(g, weights, config.dim)
 
     provenance = {
         "algorithm": algorithm,
         "variant": variant,
         "motif_mode": mode if variant == "mo" else "none",
         **asdict(config),
-        "seed": seed,
     }
     return EmbeddingMatrix(emb.vectors, provenance)
 
@@ -142,13 +142,12 @@ def linkpred_row(
     """Embed the split's TRAIN graph with the split's seed, then score its
     held-out edges against its sampled non-edges. ``stats``, if given, are
     the train graph's triangle counts (see embed_graph)."""
-    seed = split.seed
-    emb = embed_graph(split.train_graph, algorithm, variant, config.with_seed(seed), mode,
-                      seed, stats)
+    emb = embed_graph(split.train_graph, algorithm, variant, config.with_seed(split.seed),
+                      mode, stats)
     pos, z_pos = cosine_scores(emb, split.test_edges)
     neg, z_neg = cosine_scores(emb, split.test_non_edges)
     report = compute_metrics(pos, neg, threshold, z_pos + z_neg)
-    row = _blank_row(dataset, algorithm, variant, seed)
+    row = _blank_row(dataset, algorithm, variant, split.seed)
     row.update({k: getattr(report, k) for k in LINKPRED_METRICS})
     return row
 
@@ -163,8 +162,13 @@ def cluster_row(
     clusters: int = 2,
     mode: str = "strict",
     stats: MotifStats | None = None,
+    emb: EmbeddingMatrix | None = None,
 ) -> dict:
-    emb = embed_graph(g, algorithm, variant, config.with_seed(seed), mode, seed, stats)
+    """Cluster an embedding of ``g`` with the row's seed and score the
+    silhouette. ``emb``, if given, is ``g``'s embedding for this algorithm
+    and variant; None embeds ``g`` here with the row's seed."""
+    if emb is None:
+        emb = embed_graph(g, algorithm, variant, config.with_seed(seed), mode, stats)
     labels = kmeans_cluster(emb.vectors, clusters, seed)
     row = _blank_row(dataset, algorithm, variant, seed)
     row["sc"] = silhouette_score(emb.vectors, labels).score
@@ -180,17 +184,21 @@ def run_report(
     seeds=(0,),
     config: TrainConfig = TrainConfig(),
     fraction: float = 0.1,
+    mode: str = "strict",
     **task_kwargs,
 ) -> list[dict]:
     """All (algorithm, variant, seed) rows for one task, sorted, plus one
     summary row per (algorithm, variant) when there are multiple seeds.
     Every linkpred row of a seed scores against that seed's one split.
     Triangles are counted once per graph embedded: once for a cluster
-    report, once per seed's train graph for linkpred, never without "mo"."""
+    report, once per seed's train graph for linkpred, never without "mo".
+    A cluster report embeds its graph once per variant for a SEED_FREE
+    back-end and clusters that one embedding with every seed."""
     if task not in ("linkpred", "cluster"):
         raise ValueError(f"unknown task {task!r}")
     needs_stats = "mo" in variants
     stats = count_triangles(g) if needs_stats and task == "cluster" else None
+    shared: dict[tuple[str, str], EmbeddingMatrix] = {}
     rows = []
     for seed in map(int, seeds):
         if task == "linkpred":
@@ -200,10 +208,13 @@ def run_report(
             for variant in variants:
                 if task == "linkpred":
                     row = linkpred_row(split, dataset, algorithm, variant, config,
-                                       stats=stats, **task_kwargs)
+                                       mode=mode, stats=stats, **task_kwargs)
                 else:
-                    row = cluster_row(g, dataset, algorithm, variant, config, seed,
-                                      stats=stats, **task_kwargs)
+                    key = (algorithm, variant)
+                    if algorithm in SEED_FREE and key not in shared:
+                        shared[key] = embed_graph(g, algorithm, variant, config, mode, stats)
+                    row = cluster_row(g, dataset, algorithm, variant, config, seed, mode=mode,
+                                      stats=stats, emb=shared.get(key), **task_kwargs)
                 rows.append(row)
     rows.sort(key=lambda r: (r["dataset"], r["algorithm"], r["variant"], r["seed"]))
     if len(seeds) > 1:

@@ -3,8 +3,8 @@
 Center vectors start at uniform(-0.5, 0.5)/dim, context vectors at zero.
 Updates run in fixed-order minibatches with exact gradient accumulation
 (duplicate rows within a batch are summed), so results are deterministic
-for a given corpus, config, and seed. The learning rate decays linearly
-over the total pair budget with a floor of 1e-4 times the initial rate.
+for a given corpus and config. The learning rate decays linearly over
+the total pair budget with a floor of 1e-4 times the initial rate.
 
 SGNS and LINE share one update, ``sgns_step``, whose scatter kernel sums
 each row's gradients in batch order with one ``bincount``, and one sampler,
@@ -199,8 +199,7 @@ def sgns_step(
 def train_sgns(
     corpus: WalkCorpus,
     config: TrainConfig,
-    seed: int | None = None,
-    node_count: int | None = None,
+    node_count: int,
     return_context: bool = False,
 ) -> EmbeddingMatrix | tuple[EmbeddingMatrix, np.ndarray]:
     """Trains and returns the center-vector matrix (node_count x dim).
@@ -208,9 +207,7 @@ def train_sgns(
     return_context=True additionally returns the raw context matrix, which
     the objective actually scores against; useful for probing convergence.
     """
-    if node_count is None:
-        node_count = 1 + max(int(w.max()) for w in corpus.walks if w.size)
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+    rng = np.random.default_rng(config.seed)
     d = config.dim
     w_center = (rng.random((node_count, d)) - 0.5) / d
     w_ctx = np.zeros((node_count, d))

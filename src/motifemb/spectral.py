@@ -28,19 +28,19 @@ def normalized_laplacian(weights: WeightedAdjacency) -> sp.csr_matrix:
     return lap.tocsr()
 
 
-def smallest_eigenpairs(
-    lap: sp.csr_matrix, k: int, seed: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
+def smallest_eigenpairs(lap: sp.csr_matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
     """k smallest eigenvalues (ascending) and unit eigenvectors of a symmetric
     PSD matrix. Falls back to dense LAPACK when the iterative solver cannot
-    be used (k too close to n, or no convergence)."""
+    be used (k too close to n, or no convergence). ARPACK's start vector is
+    fixed: it changes how the solver converges, not the eigenpairs it
+    converges to, so the result is a function of ``lap`` alone."""
     n = lap.shape[0]
     if k < 1 or k > n:
         raise ValueError(f"need 1 <= k <= {n}, got {k}")
     if n <= DENSE_CUTOFF or k >= n - 1:
         vals, vecs = np.linalg.eigh(lap.toarray())
         return vals[:k], vecs[:, :k]
-    v0 = np.random.default_rng(seed).random(n)
+    v0 = np.random.default_rng(0).random(n)
     try:
         vals, vecs = eigsh(lap, k=k, which="SA", v0=v0)
     except ArpackNoConvergence:
@@ -72,7 +72,6 @@ def train_spectral(
     g: Graph,
     weights: WeightedAdjacency | None,
     dim: int,
-    seed: int | None = None,
 ) -> EmbeddingMatrix:
     """Rows are the first `dim` nontrivial eigenvector coordinates, computed
     per connected component (each component contributes its own trivial
@@ -82,7 +81,6 @@ def train_spectral(
         weights = unit_adjacency(g)
     if dim >= g.node_count:
         raise ValueError(f"dim {dim} must be < node count {g.node_count}")
-    seed = 0 if seed is None else seed
     n_comp, comp_labels = connected_components(weights.matrix, directed=False)
     full_lap = normalized_laplacian(weights)
     out = np.zeros((g.node_count, dim))
@@ -94,8 +92,8 @@ def train_spectral(
         # degrees never cross components, so this is the component's own Laplacian
         lap = full_lap[np.ix_(nodes, nodes)]
         k = min(dim, m - 1) + 1  # + trivial pair
-        vals, vecs = smallest_eigenpairs(lap, k, seed=seed + c)
+        vals, vecs = smallest_eigenpairs(lap, k)
         _check_residuals(lap, vals, vecs)
         kept = _fix_signs(vecs[:, 1:])
         out[nodes, : kept.shape[1]] = kept
-    return EmbeddingMatrix(out, {"trainer": "spectral", "dim": dim, "seed": seed})
+    return EmbeddingMatrix(out, {"trainer": "spectral", "dim": dim})

@@ -51,16 +51,15 @@ def generate_walks(
     g: Graph,
     transitions: TransitionModel | None,
     config: TrainConfig,
-    seed: int | None = None,
 ) -> WalkCorpus:
     """First-order walks: next node drawn from the transition row of the
     current node (None means uniform over neighbors, i.e. classic DeepWalk).
 
     Starts walks_per_node passes over a reshuffled node order; deterministic
-    per seed.
+    per config.seed.
     """
     model = transitions if transitions is not None else uniform_transitions(g)
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+    rng = np.random.default_rng(config.seed)
     tables = _row_tables(model)
     walks: list[np.ndarray] = []
     for _ in range(config.walks_per_node):
@@ -78,12 +77,10 @@ def generate_walks(
 def node2vec_walks(
     g: Graph,
     transitions: TransitionModel | None,
-    p: float | None = None,
-    q: float | None = None,
-    config: TrainConfig = TrainConfig(),
-    seed: int | None = None,
+    config: TrainConfig,
 ) -> WalkCorpus:
-    """Second-order walks with return parameter p and in-out parameter q.
+    """Second-order walks with return parameter config.p and in-out
+    parameter config.q.
 
     From the previous step (t -> v), candidate x gets unnormalized weight
     alpha(t, x) * base(v, x): alpha is 1/p when x == t, 1 when x is adjacent
@@ -93,11 +90,9 @@ def node2vec_walks(
     distribution.
     """
     model = transitions if transitions is not None else uniform_transitions(g)
-    p = config.p if p is None else p
-    q = config.q if q is None else q
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+    rng = np.random.default_rng(config.seed)
     tables = _row_tables(model)
-    inv_p, inv_q = 1.0 / p, 1.0 / q
+    inv_p, inv_q = 1.0 / config.p, 1.0 / config.q
     walks: list[np.ndarray] = []
     for _ in range(config.walks_per_node):
         for start in rng.permutation(g.node_count):

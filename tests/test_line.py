@@ -84,7 +84,7 @@ class TestTrainLine:
     @pytest.mark.parametrize("order", ["first", "second", "concat"])
     def test_shapes_and_finiteness(self, two_triangles_bridged, order):
         cfg = line_config(line_order=order)
-        emb = train_line(two_triangles_bridged, None, cfg, seed=0)
+        emb = train_line(two_triangles_bridged, None, cfg)
         assert emb.vectors.shape == (6, 8)
         assert np.all(np.isfinite(emb.vectors))
         assert emb.provenance["trainer"] == "line"
@@ -98,8 +98,9 @@ class TestTrainLine:
         g = tri_pendant
         w = np.array([0.0, 1.5, 1.0, 0.0])
         weights = WeightedAdjacency(node_count=4, edge_weights=w, matrix=sp.csr_matrix((4, 4)))
-        cfg = line_config(line_order=order, epochs=2, line_samples_factor=30, batch_size=40)
-        train_line(g, weights, cfg, seed=5)
+        cfg = line_config(line_order=order, epochs=2, line_samples_factor=30, batch_size=40,
+                          seed=5)
+        train_line(g, weights, cfg)
 
         edge_cum, noise = edge_sampling_tables(g, weights)
         e = g.edge_count
@@ -126,37 +127,34 @@ class TestTrainLine:
 
     def test_concat_needs_even_dim(self, two_triangles_bridged):
         with pytest.raises(ValueError):
-            train_line(
-                two_triangles_bridged, None, line_config(dim=7, line_order="concat"),
-                seed=0,
-            )
+            train_line(two_triangles_bridged, None, line_config(dim=7, line_order="concat"))
 
     def test_determinism(self, two_triangles_bridged):
         cfg = line_config(line_order="concat")
-        a = train_line(two_triangles_bridged, None, cfg, seed=3)
-        b = train_line(two_triangles_bridged, None, cfg, seed=3)
-        c = train_line(two_triangles_bridged, None, cfg, seed=4)
+        a = train_line(two_triangles_bridged, None, cfg.with_seed(3))
+        b = train_line(two_triangles_bridged, None, cfg.with_seed(3))
+        c = train_line(two_triangles_bridged, None, cfg.with_seed(4))
         assert np.array_equal(a.vectors, b.vectors)
         assert not np.array_equal(a.vectors, c.vectors)
 
     def test_orders_differ(self, two_triangles_bridged):
         g = two_triangles_bridged
-        first = train_line(g, None, line_config(line_order="first"), seed=0)
-        second = train_line(g, None, line_config(line_order="second"), seed=0)
+        first = train_line(g, None, line_config(line_order="first"))
+        second = train_line(g, None, line_config(line_order="second"))
         assert not np.allclose(first.vectors, second.vectors)
 
     def test_weights_change_result(self, two_triangles_bridged):
         g = two_triangles_bridged
         am = build_motif_adjacency(g, count_triangles(g))
-        cfg = line_config()
-        plain = train_line(g, None, cfg, seed=1)
-        weighted = train_line(g, am, cfg, seed=1)
+        cfg = line_config(seed=1)
+        plain = train_line(g, None, cfg)
+        weighted = train_line(g, am, cfg)
         assert not np.allclose(plain.vectors, weighted.vectors)
 
     def test_triangle_mates_score_higher(self, two_triangles_bridged):
         g = two_triangles_bridged
-        cfg = line_config(epochs=6, dim=8)
-        emb = train_line(g, None, cfg, seed=2)
+        cfg = line_config(epochs=6, dim=8, seed=2)
+        emb = train_line(g, None, cfg)
         v = emb.vectors / np.linalg.norm(emb.vectors, axis=1, keepdims=True)
         sims = v @ v.T
         intra = [sims[0, 1], sims[0, 2], sims[1, 2],

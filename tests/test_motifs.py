@@ -210,17 +210,6 @@ class TestWeightedAdjacency:
         w = am.edge_weights
         assert np.all(w >= 1.0) and np.all(w <= 1.0 + max_ed / 3 + 1e-12)
 
-    def test_coo_export(self, k3):
-        import io
-
-        am = build_motif_adjacency(k3, count_triangles(k3))
-        buf = io.StringIO()
-        am.write_coo(buf, k3.edges)
-        lines = buf.getvalue().strip().splitlines()
-        assert len(lines) == 3
-        u, v, w = lines[0].split()
-        assert float(w) == pytest.approx(4 / 3)
-
 
 class TestTransitionModel:
     def test_k4_uniform(self, k4):

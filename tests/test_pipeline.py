@@ -18,9 +18,10 @@ from motifemb import (
     planted_partition,
     run_report,
     write_report_csv,
+    train_spectral,
     write_report_json,
 )
-from motifemb import pipeline
+from motifemb import Graph, pipeline
 from motifemb.pipeline import (
     ALGORITHMS,
     LINKPRED_METRICS,
@@ -88,7 +89,7 @@ class TestEmbedGraph:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_dispatch_matrix(self, small_graph, algorithm, variant):
-        emb = embed_graph(small_graph, algorithm, variant, FAST, "strict", seed=0)
+        emb = embed_graph(small_graph, algorithm, variant, FAST, "strict")
         assert emb.vectors.shape == (18, 4)
         assert np.all(np.isfinite(emb.vectors))
         assert emb.provenance["algorithm"] == algorithm
@@ -108,22 +109,32 @@ class TestEmbedGraph:
         # heterogeneous triangle counts (bridge sits in none), so the mo
         # transition rows genuinely differ from uniform
         g = two_triangles_bridged
-        base = embed_graph(g, "deepwalk", "base", FAST, seed=3)
-        mo = embed_graph(g, "deepwalk", "mo", FAST, "smoothed", seed=3)
+        base = embed_graph(g, "deepwalk", "base", FAST.with_seed(3))
+        mo = embed_graph(g, "deepwalk", "mo", FAST.with_seed(3), "smoothed")
         assert not np.allclose(base.vectors, mo.vectors)
 
     def test_equal_counts_degenerate_to_base(self, k4):
         # every K4 edge sits in the same number of triangles, so the mo
         # walk distribution collapses to the baseline bitwise
-        base = embed_graph(k4, "deepwalk", "base", FAST, seed=3)
-        mo = embed_graph(k4, "deepwalk", "mo", FAST, "strict", seed=3)
+        base = embed_graph(k4, "deepwalk", "base", FAST.with_seed(3))
+        mo = embed_graph(k4, "deepwalk", "mo", FAST.with_seed(3), "strict")
         assert np.array_equal(base.vectors, mo.vectors)
 
     def test_determinism_per_seed(self, small_graph):
         for algorithm in ALGORITHMS:
-            a = embed_graph(small_graph, algorithm, "mo", FAST, "strict", seed=2)
-            b = embed_graph(small_graph, algorithm, "mo", FAST, "strict", seed=2)
+            a = embed_graph(small_graph, algorithm, "mo", FAST.with_seed(2), "strict")
+            b = embed_graph(small_graph, algorithm, "mo", FAST.with_seed(2), "strict")
             assert np.array_equal(a.vectors, b.vectors), algorithm
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_spectral_ignores_seed(self, variant):
+        # two components above the dense cutoff, so ARPACK solves both
+        n = 300
+        edges = np.concatenate([er_graph(n, 0.03, seed=s).edges + s * n for s in (0, 1)])
+        g = Graph.from_edges(2 * n, edges)
+        embs = [embed_graph(g, "spectral", variant, FAST.with_seed(s)) for s in (0, 1, 7)]
+        for emb in embs[1:]:
+            assert np.array_equal(emb.vectors, embs[0].vectors)
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_stats_of_another_graph_rejected(self, small_graph, algorithm):
@@ -228,6 +239,23 @@ class TestRunReport:
         monkeypatch.setattr(pipeline, "count_triangles", recording_count)
         rows = run_report(small_graph, "toy", task, **kw)
         assert len(counted) == calls
+        assert rows[:len(expected)] == expected
+
+    def test_one_spectral_embedding_per_variant(self, small_graph, monkeypatch):
+        seeds = (0, 1, 2)
+        expected = sorted((cluster_row(small_graph, "toy", "spectral", variant, FAST, seed)
+                           for seed in seeds for variant in VARIANTS),
+                          key=lambda r: (r["variant"], r["seed"]))
+        trained = []
+
+        def recording_spectral(g, weights, dim):
+            trained.append(weights)
+            return train_spectral(g, weights, dim)
+
+        monkeypatch.setattr(pipeline, "train_spectral", recording_spectral)
+        rows = run_report(small_graph, "toy", "cluster", algorithms=("spectral",),
+                          variants=VARIANTS, seeds=seeds, config=FAST)
+        assert len(trained) == 2
         assert rows[:len(expected)] == expected
 
     def test_unknown_task_rejected(self, small_graph):

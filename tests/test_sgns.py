@@ -375,17 +375,17 @@ class TestTraining:
 
     def test_shapes_and_provenance(self):
         g = er_graph(12, 0.3, seed=0)
-        corpus = generate_walks(g, None, self.cfg(), seed=0)
-        emb = train_sgns(corpus, self.cfg(), seed=0, node_count=g.node_count)
+        corpus = generate_walks(g, None, self.cfg())
+        emb = train_sgns(corpus, self.cfg(), node_count=g.node_count)
         assert emb.vectors.shape == (12, 8)
         assert np.all(np.isfinite(emb.vectors))
 
     def test_bitwise_determinism(self):
         g = er_graph(12, 0.3, seed=1)
-        corpus = generate_walks(g, None, self.cfg(), seed=1)
-        a = train_sgns(corpus, self.cfg(), seed=5, node_count=12)
-        b = train_sgns(corpus, self.cfg(), seed=5, node_count=12)
-        c = train_sgns(corpus, self.cfg(), seed=6, node_count=12)
+        corpus = generate_walks(g, None, self.cfg(seed=1))
+        a = train_sgns(corpus, self.cfg(seed=5), node_count=12)
+        b = train_sgns(corpus, self.cfg(seed=5), node_count=12)
+        c = train_sgns(corpus, self.cfg(seed=6), node_count=12)
         assert np.array_equal(a.vectors, b.vectors)
         assert not np.array_equal(a.vectors, c.vectors)
 
@@ -395,8 +395,8 @@ class TestTraining:
         # never occurs in the corpus, so it has noise probability zero
         g = er_graph(15, 0.3, seed=7)
         cfg = self.cfg(epochs=2, batch_size=50)
-        corpus = generate_walks(g, None, cfg, seed=7)
-        train_sgns(corpus, cfg, seed=11, node_count=16)
+        corpus = generate_walks(g, None, cfg.with_seed(7))
+        train_sgns(corpus, cfg.with_seed(11), node_count=16)
 
         centers, contexts = extract_pairs(corpus, cfg.window)
         noise = noise_distribution(corpus, 16)
@@ -417,10 +417,10 @@ class TestTraining:
     def test_training_raises_average_objective(self):
         g = er_graph(14, 0.3, seed=2)
         cfg = self.cfg()
-        corpus = generate_walks(g, None, cfg, seed=2)
+        corpus = generate_walks(g, None, cfg.with_seed(2))
         centers, contexts = extract_pairs(corpus, cfg.window)
         noise = noise_distribution(corpus, 14)
-        emb, ctx = train_sgns(corpus, cfg, seed=3, node_count=14, return_context=True)
+        emb, ctx = train_sgns(corpus, cfg.with_seed(3), node_count=14, return_context=True)
 
         def mean_objective(center_m, ctx_m):
             rng_eval = np.random.default_rng(99)
@@ -444,9 +444,9 @@ class TestTraining:
         # clique together far more than across the bridge
         edges = list(map(tuple, two_k4.edges)) + [(3, 4)]
         g = Graph.from_edges(8, edges)
-        cfg = self.cfg(dim=6, walks_per_node=20, walk_length=20, epochs=5)
-        corpus = generate_walks(g, None, cfg, seed=4)
-        emb = train_sgns(corpus, cfg, seed=4, node_count=8)
+        cfg = self.cfg(dim=6, walks_per_node=20, walk_length=20, epochs=5, seed=4)
+        corpus = generate_walks(g, None, cfg)
+        emb = train_sgns(corpus, cfg, node_count=8)
         v = emb.vectors / np.linalg.norm(emb.vectors, axis=1, keepdims=True)
         sims = v @ v.T
         intra = [sims[i, j] for i in range(4) for j in range(i + 1, 4)]
@@ -468,7 +468,7 @@ def test_default_config_stays_bounded_on_small_graph(trainer):
     g = er_graph(34, 0.15, seed=0)
     cfg = TrainConfig()
     if trainer == "deepwalk":
-        emb = train_sgns(generate_walks(g, None, cfg, seed=0), cfg, seed=0, node_count=34)
+        emb = train_sgns(generate_walks(g, None, cfg), cfg, node_count=34)
     else:
-        emb = train_line(g, None, cfg, seed=0)
+        emb = train_line(g, None, cfg)
     assert np.linalg.norm(emb.vectors, axis=1).max() < 100

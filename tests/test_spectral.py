@@ -79,7 +79,7 @@ class TestEigenpairs:
         g = er_graph(n, p, seed)
         lap = normalized_laplacian(unit_adjacency(g))
         k = min(k, n - 1)
-        vals, vecs = smallest_eigenpairs(lap, k, seed=0)
+        vals, vecs = smallest_eigenpairs(lap, k)
         oracle = np.sort(np.linalg.eigvalsh(lap.toarray()))[:k]
         assert np.allclose(vals, oracle, atol=1e-8)
         # orthonormal columns
@@ -93,7 +93,7 @@ class TestEigenpairs:
         # above the dense cutoff; closed form pins the eigenvalues
         n = 300
         lap = normalized_laplacian(unit_adjacency(ring(n)))
-        vals, vecs = smallest_eigenpairs(lap, 4, seed=0)
+        vals, vecs = smallest_eigenpairs(lap, 4)
         expected = np.sort(1.0 - np.cos(2 * np.pi * np.arange(n) / n))[:4]
         assert np.allclose(vals, expected, atol=1e-8)
         res = lap @ vecs - vecs * vals
@@ -101,15 +101,15 @@ class TestEigenpairs:
 
     def test_arpack_determinism(self):
         lap = normalized_laplacian(unit_adjacency(ring(300)))
-        _, a = smallest_eigenpairs(lap, 3, seed=7)
-        _, b = smallest_eigenpairs(lap, 3, seed=7)
+        _, a = smallest_eigenpairs(lap, 3)
+        _, b = smallest_eigenpairs(lap, 3)
         assert np.array_equal(a, b)
 
 
 class TestTrainSpectral:
     def test_shapes_and_sign_convention(self):
         g = er_graph(15, 0.3, seed=0)
-        emb = train_spectral(g, None, dim=4, seed=0)
+        emb = train_spectral(g, None, dim=4)
         assert emb.vectors.shape == (15, 4)
         for col in emb.vectors.T:
             nz = np.flatnonzero(np.abs(col) > 1e-12)
@@ -126,25 +126,25 @@ class TestTrainSpectral:
         # connected graph: every column must be orthogonal to sqrt(degree),
         # the kernel of the normalized Laplacian
         g = er_graph(12, 0.4, seed=3)
-        emb = train_spectral(g, None, dim=3, seed=0)
+        emb = train_spectral(g, None, dim=3)
         root_deg = np.sqrt(np.array([g.neighbors(i).size for i in range(12)], float))
         root_deg /= np.linalg.norm(root_deg)
         overlap = emb.vectors.T @ root_deg
         assert np.all(np.abs(overlap) <= 1e-8)
 
     def test_uniform_scaling_invariance(self, k3):
-        base = train_spectral(k3, unit_adjacency(k3), dim=2, seed=0)
-        scaled = train_spectral(k3, scaled_adjacency(k3, 7.5), dim=2, seed=0)
+        base = train_spectral(k3, unit_adjacency(k3), dim=2)
+        scaled = train_spectral(k3, scaled_adjacency(k3, 7.5), dim=2)
         assert np.allclose(base.vectors, scaled.vectors, atol=1e-10)
 
     def test_motif_weights_change_embedding(self, tri_pendant):
         am = build_motif_adjacency(tri_pendant, count_triangles(tri_pendant))
-        plain = train_spectral(tri_pendant, None, dim=2, seed=0)
-        weighted = train_spectral(tri_pendant, am, dim=2, seed=0)
+        plain = train_spectral(tri_pendant, None, dim=2)
+        weighted = train_spectral(tri_pendant, am, dim=2)
         assert not np.allclose(plain.vectors, weighted.vectors, atol=1e-10)
 
     def test_small_components_zero_padded(self, two_k4):
-        emb = train_spectral(two_k4, None, dim=4, seed=0)
+        emb = train_spectral(two_k4, None, dim=4)
         # each K4 supports 3 nontrivial directions; the 4th column pads
         assert emb.vectors.shape == (8, 4)
         assert np.all(emb.vectors[:, 3] == 0.0)
@@ -152,12 +152,12 @@ class TestTrainSpectral:
 
     def test_isolated_node_rows_are_zero(self):
         g = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2)])
-        emb = train_spectral(g, None, dim=2, seed=0)
+        emb = train_spectral(g, None, dim=2)
         assert np.all(emb.vectors[3] == 0.0)
         assert np.all(emb.vectors[4] == 0.0)
 
     def test_determinism_across_calls(self):
         g = er_graph(40, 0.15, seed=9)
-        a = train_spectral(g, None, dim=5, seed=1)
-        b = train_spectral(g, None, dim=5, seed=1)
+        a = train_spectral(g, None, dim=5)
+        b = train_spectral(g, None, dim=5)
         assert np.array_equal(a.vectors, b.vectors)

@@ -1,0 +1,36 @@
+"""The benchmark's tracer (benchmark/tracer.py) wraps the program's functions
+and binds its counting hooks to their arguments by name, so a renamed or
+dropped argument breaks ``benchmark/run.py --trace 1``. These tests run the
+report and CLI paths the benchmark workloads take under the tracer."""
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+from motifemb import TrainConfig, cli, pipeline, planted_partition
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "benchmark"))
+from tracer import Tracer  # noqa: E402
+
+FAST = TrainConfig(dim=4, walks_per_node=2, walk_length=8, window=2, negatives=2,
+                   epochs=1, batch_size=64, line_samples_factor=5)
+
+
+def test_reports_and_embed_run_under_tracer(tmp_path):
+    g, _ = planted_partition(seed=0, nodes_per_block=30, blocks=2, triangles_per_block=15)
+    tracer = Tracer("test")
+    tracer.install()
+    try:
+        tracer.begin_rep(0)
+        pipeline.run_report(g, "ppm", "linkpred", seeds=(0,), config=FAST, fraction=0.2)
+        pipeline.run_report(g, "ppm", "cluster", seeds=(0, 1), config=FAST)
+        code = cli.main(["embed", "--synthetic", "ppm", "--algorithm", "node2vec",
+                         "--variant", "mo", "--dim", "4", "--walks-per-node", "1",
+                         "--walk-length", "5", "--epochs", "1",
+                         "--out", str(tmp_path / "emb.txt")])
+        layers = tracer.rep_layers()
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    for key in ("walks.tokens", "sgns.updates", "line.samples"):
+        assert layers[key] > 0, key

@@ -48,11 +48,11 @@ class TestCorpusShape:
     @settings(max_examples=25, deadline=None)
     def test_counts_lengths_and_edges(self, n, p, seed, second_order):
         g = er_graph(n, p, seed)
-        cfg = walk_config()
+        cfg = walk_config(seed=seed)
         if second_order:
-            corpus = node2vec_walks(g, None, config=cfg, seed=seed)
+            corpus = node2vec_walks(g, None, cfg)
         else:
-            corpus = generate_walks(g, None, cfg, seed=seed)
+            corpus = generate_walks(g, None, cfg)
         assert len(corpus) == cfg.walks_per_node * g.node_count
         starts = np.zeros(n, dtype=int)
         for w in corpus.walks:
@@ -69,7 +69,7 @@ class TestCorpusShape:
 
     def test_isolated_start_is_singleton(self):
         g = Graph.from_edges(3, [(0, 1)])
-        corpus = generate_walks(g, None, walk_config(), seed=0)
+        corpus = generate_walks(g, None, walk_config())
         for w in corpus.walks:
             if w[0] == 2:
                 assert w.size == 1
@@ -78,9 +78,9 @@ class TestCorpusShape:
 
     def test_seed_determinism(self, tri_pendant):
         cfg = walk_config()
-        a = generate_walks(tri_pendant, None, cfg, seed=7)
-        b = generate_walks(tri_pendant, None, cfg, seed=7)
-        c = generate_walks(tri_pendant, None, cfg, seed=8)
+        a = generate_walks(tri_pendant, None, cfg.with_seed(7))
+        b = generate_walks(tri_pendant, None, cfg.with_seed(7))
+        c = generate_walks(tri_pendant, None, cfg.with_seed(8))
         assert all(np.array_equal(x, y) for x, y in zip(a.walks, b.walks))
         assert any(not np.array_equal(x, y) for x, y in zip(a.walks, c.walks))
 
@@ -91,7 +91,7 @@ class TestFirstOrderDistribution:
             tri_pendant, count_triangles(tri_pendant), "strict"
         )
         corpus = generate_walks(
-            tri_pendant, tm, walk_config(walks_per_node=150, walk_length=40), seed=0
+            tri_pendant, tm, walk_config(walks_per_node=150, walk_length=40)
         )
         counts = transition_counts(corpus, 2, 4)
         assert counts[3] == 0  # edge (2,3) sits in no triangle
@@ -104,7 +104,7 @@ class TestFirstOrderDistribution:
             tri_pendant, count_triangles(tri_pendant), "smoothed"
         )
         corpus = generate_walks(
-            tri_pendant, tm, walk_config(walks_per_node=300, walk_length=40), seed=1
+            tri_pendant, tm, walk_config(walks_per_node=300, walk_length=40, seed=1)
         )
         counts = transition_counts(corpus, 2, 4)[[0, 1, 3]]
         expected = np.array([4 / 11, 4 / 11, 3 / 11]) * counts.sum()
@@ -113,7 +113,7 @@ class TestFirstOrderDistribution:
 
     def test_uniform_default_row(self, tri_pendant):
         corpus = generate_walks(
-            tri_pendant, None, walk_config(walks_per_node=300, walk_length=40), seed=2
+            tri_pendant, None, walk_config(walks_per_node=300, walk_length=40, seed=2)
         )
         counts = transition_counts(corpus, 2, 4)[[0, 1, 3]]
         chi = sps.chisquare(counts)
@@ -123,8 +123,7 @@ class TestFirstOrderDistribution:
 class TestSecondOrder:
     def test_huge_p_forbids_backtracking(self, c4):
         corpus = node2vec_walks(
-            c4, None, p=1e12, q=1.0,
-            config=walk_config(walks_per_node=50, walk_length=20), seed=3,
+            c4, None, walk_config(walks_per_node=50, walk_length=20, p=1e12, q=1.0, seed=3),
         )
         for w in corpus.walks:
             for i in range(2, w.size):
@@ -133,8 +132,8 @@ class TestSecondOrder:
     def test_tiny_q_pushes_outward(self, tri_pendant):
         # from (0 -> 2) the only non-neighbor of 0 among 2's neighbors is 3
         corpus = node2vec_walks(
-            tri_pendant, None, p=1.0, q=1e-12,
-            config=walk_config(walks_per_node=100, walk_length=20), seed=4,
+            tri_pendant, None,
+            walk_config(walks_per_node=100, walk_length=20, p=1.0, q=1e-12, seed=4),
         )
         seen = 0
         for w in corpus.walks:
@@ -146,9 +145,9 @@ class TestSecondOrder:
 
     def test_neutral_parameters_reduce_to_first_order(self):
         g = er_graph(20, 0.3, seed=3)
-        cfg = walk_config(walks_per_node=4, walk_length=15)
-        first = generate_walks(g, None, cfg, seed=11)
-        second = node2vec_walks(g, None, p=1.0, q=1.0, config=cfg, seed=11)
+        cfg = walk_config(walks_per_node=4, walk_length=15, p=1.0, q=1.0, seed=11)
+        first = generate_walks(g, None, cfg)
+        second = node2vec_walks(g, None, cfg)
         assert len(first) == len(second)
         for a, b in zip(first.walks, second.walks):
             assert np.array_equal(a, b)
@@ -156,9 +155,9 @@ class TestSecondOrder:
     def test_neutral_reduction_holds_with_motif_rows(self, two_triangles_bridged):
         g = two_triangles_bridged
         tm = build_transition_model(g, count_triangles(g), "smoothed")
-        cfg = walk_config(walks_per_node=4, walk_length=15)
-        first = generate_walks(g, tm, cfg, seed=11)
-        second = node2vec_walks(g, tm, p=1.0, q=1.0, config=cfg, seed=11)
+        cfg = walk_config(walks_per_node=4, walk_length=15, p=1.0, q=1.0, seed=11)
+        first = generate_walks(g, tm, cfg)
+        second = node2vec_walks(g, tm, cfg)
         for a, b in zip(first.walks, second.walks):
             assert np.array_equal(a, b)
 
@@ -169,8 +168,7 @@ class TestSecondOrder:
             tri_pendant, count_triangles(tri_pendant), "strict"
         )
         corpus = node2vec_walks(
-            tri_pendant, tm, p=2.0, q=0.5,
-            config=walk_config(walks_per_node=100, walk_length=30), seed=5,
+            tri_pendant, tm, walk_config(walks_per_node=100, walk_length=30, p=2.0, q=0.5, seed=5),
         )
         counts = transition_counts(corpus, 2, 4)
         assert counts[3] == 0
