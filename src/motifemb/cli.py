@@ -126,7 +126,10 @@ class RunConfig(TrainConfig):
     def threshold_value(self) -> float | None:
         if self.threshold == "median":
             return None
-        return float(self.threshold)
+        value = float(self.threshold)
+        if not np.isfinite(value):
+            raise ValueError(f"threshold must be 'median' or a finite number, got {value}")
+        return value
 
 
 def _load_graph(run: RunConfig):

@@ -1,6 +1,7 @@
 """Hyperparameter container shared by all embedding back-ends."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Literal, get_args, get_origin, get_type_hints
 
@@ -45,10 +46,11 @@ class TrainConfig:
                      "negatives", "epochs", "batch_size", "line_samples_factor"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
-        if self.p <= 0 or self.q <= 0:
-            raise ValueError("p and q must be > 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and > 0")
+        # node2vec weighs steps by 1/p and 1/q, so those must be finite too
+        if not all(0 < v < math.inf and 1 / v < math.inf for v in (self.p, self.q)):
+            raise ValueError("p and q and their reciprocals must be finite and > 0")
         for name, typ in field_types(type(self)).items():
             value = getattr(self, name)
             if get_origin(typ) is Literal and value not in get_args(typ):

@@ -137,9 +137,6 @@ class TransitionModel:
         lo, hi = self.indptr[node], self.indptr[node + 1]
         return self.indices[lo:hi], self.probs[lo:hi]
 
-    def mass_row(self, node: int) -> np.ndarray:
-        return self.masses[self.indptr[node]:self.indptr[node + 1]]
-
 
 def _per_position_values(g: Graph, per_edge: np.ndarray) -> np.ndarray:
     """Spread one value per canonical edge onto both CSR positions."""

@@ -72,27 +72,25 @@ def pair_gradients(center: np.ndarray, pos_ctx: np.ndarray, neg_ctx: np.ndarray)
 
 
 def extract_pairs(corpus: WalkCorpus, window: int) -> tuple[np.ndarray, np.ndarray]:
-    """(center, context) id arrays for every ordered pair within the window."""
-    centers: list[np.ndarray] = []
-    contexts: list[np.ndarray] = []
-    for walk in corpus.walks:
-        for off in range(1, window + 1):
-            if walk.size <= off:
-                break
-            left, right = walk[:-off], walk[off:]
-            centers.append(left)
-            contexts.append(right)
-            centers.append(right)
-            contexts.append(left)
-    if not centers:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    return np.concatenate(centers), np.concatenate(contexts)
+    """(center, context) id arrays for every ordered pair within the window.
+
+    Walk by walk, then offset by offset: the pairs (w[i], w[i + off]), then
+    (w[i + off], w[i]).
+    """
+    length = corpus.tokens.shape[1]
+    at = [np.empty((2, 0), np.intp)]  # (center, context) positions in a walk
+    for off in range(1, min(window, length - 1) + 1):
+        left = np.arange(length - off)
+        at += [(left, left + off), (left + off, left)]
+    center_at, context_at = np.concatenate(at, axis=1)
+    # a pair exists when its later position is not padding
+    kept = corpus.tokens[:, np.maximum(center_at, context_at)] >= 0
+    return corpus.tokens[:, center_at][kept], corpus.tokens[:, context_at][kept]
 
 
 def noise_distribution(corpus: WalkCorpus, node_count: int, power: float = 0.75) -> np.ndarray:
     """Unigram^power negative-sampling distribution over corpus tokens."""
-    tokens = np.concatenate(corpus.walks) if corpus.walks else np.empty(0, np.int64)
-    counts = np.bincount(tokens, minlength=node_count)
+    counts = np.bincount(corpus.tokens[corpus.tokens >= 0], minlength=node_count)
     if counts.size > node_count:
         raise IndexError(f"corpus holds node {counts.size - 1} but node_count is {node_count}")
     weights = counts.astype(np.float64) ** power

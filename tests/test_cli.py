@@ -92,8 +92,9 @@ class TestRunConfig:
     def test_threshold_value(self):
         assert RunConfig().threshold_value() is None
         assert RunConfig(threshold="0.4").threshold_value() == 0.4
-        with pytest.raises(ValueError):
-            RunConfig(threshold="middle").threshold_value()
+        for bad in ("middle", "nan", "inf", "-inf"):
+            with pytest.raises(ValueError):
+                RunConfig(threshold=bad).threshold_value()
 
 
 TRAIN_FIELDS = [f for f in dataclasses.fields(TrainConfig) if f.name != "seed"]
@@ -194,6 +195,21 @@ class TestExitCodes:
         assert main(["stats", "--input", str(path)]) == 2
         err = capsys.readouterr().err
         assert "line 2" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["embed", "--algorithm", "node2vec", "--p", "nan"],
+         ["embed", "--algorithm", "node2vec", "--q", "1e-310"],
+         ["linkpred", "--threshold", "nan"]],
+        ids=["p-nan", "q-subnormal", "threshold-nan"],
+    )
+    def test_non_finite_setting_exits_two(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main([*argv, "--synthetic", "ppm", "--variant", "base",
+                     "--out", str(out), *FAST_FLAGS])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
 
     def test_success_is_zero(self, k3_file, capsys):
         assert main(["stats", "--input", k3_file]) == 0

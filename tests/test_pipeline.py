@@ -63,6 +63,9 @@ class TestTrainConfig:
             ("window", 0), ("negatives", 0), ("epochs", 0),
             ("learning_rate", 0.0), ("learning_rate", -1.0),
             ("p", 0.0), ("q", -2.0), ("batch_size", 0),
+            ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+            ("p", float("nan")), ("q", float("nan")), ("p", float("inf")),
+            ("q", 1e-310),
             ("line_order", "third"), ("line_samples_factor", 0),
         ],
     )

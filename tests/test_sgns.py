@@ -26,6 +26,7 @@ from motifemb.sgns import (
 from motifemb.walks import WalkCorpus
 
 from conftest import er_graph
+from walk_reference import padded
 
 
 class FixedDraws:
@@ -53,7 +54,7 @@ def fd_gradient(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
 def toy_corpus(walks: list[list[int]]) -> WalkCorpus:
     arrs = [np.asarray(w, dtype=np.int64) for w in walks]
     length = max(len(w) for w in walks)
-    return WalkCorpus(arrs, walks_per_node=1, walk_length=length)
+    return WalkCorpus(padded(arrs, length), walks_per_node=1, walk_length=length)
 
 
 class TestSigmoids:
@@ -171,7 +172,7 @@ class TestNoiseDistribution:
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
-            noise_distribution(WalkCorpus([], 1, 5), node_count=4)
+            noise_distribution(WalkCorpus(np.empty((0, 5), np.int64), 1, 5), node_count=4)
 
     def test_token_beyond_node_count_rejected(self):
         with pytest.raises(IndexError):
@@ -190,7 +191,7 @@ class TestNoiseDistribution:
         for w in walks:
             np.add.at(counts, np.asarray(w, dtype=np.int64), 1.0)
         want = counts**0.75 / (counts**0.75).sum()
-        corpus = WalkCorpus([np.asarray(w, dtype=np.int64) for w in walks], 1, 10)
+        corpus = WalkCorpus(padded([np.asarray(w, dtype=np.int64) for w in walks], 10), 1, 10)
         assert noise_distribution(corpus, node_count=9).tobytes() == want.tobytes()
 
     @given(

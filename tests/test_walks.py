@@ -1,6 +1,7 @@
 """Walk corpora: shape/edge invariants, empirical step distributions
 (chi-square against the transition rows), second-order biasing behavior,
-and the p = q = 1 reduction to first-order walks."""
+the p = q = 1 reduction to first-order walks, and byte identity of walks,
+pairs and noise with the one-walk-at-a-time reference."""
 from __future__ import annotations
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+import walk_reference as ref
 from motifemb import (
     Graph,
     TrainConfig,
@@ -16,6 +18,7 @@ from motifemb import (
     generate_walks,
     node2vec_walks,
 )
+from motifemb.sgns import extract_pairs, noise_distribution
 
 from conftest import er_graph
 
@@ -30,12 +33,8 @@ def walk_config(**kw) -> TrainConfig:
 
 def transition_counts(corpus, source: int, n: int) -> np.ndarray:
     """How often each node follows `source` across the whole corpus."""
-    counts = np.zeros(n, dtype=np.int64)
-    for w in corpus.walks:
-        here = np.nonzero(w[:-1] == source)[0]
-        for idx in here:
-            counts[w[idx + 1]] += 1
-    return counts
+    here, nxt = corpus.tokens[:, :-1], corpus.tokens[:, 1:]
+    return np.bincount(nxt[(here == source) & (nxt >= 0)], minlength=n)
 
 
 class TestCorpusShape:
@@ -54,25 +53,29 @@ class TestCorpusShape:
         else:
             corpus = generate_walks(g, None, cfg)
         assert len(corpus) == cfg.walks_per_node * g.node_count
-        starts = np.zeros(n, dtype=int)
-        for w in corpus.walks:
-            starts[w[0]] += 1
-            assert 1 <= w.size <= cfg.walk_length
-            for a, b in zip(w[:-1], w[1:]):
-                assert g.has_edge(int(a), int(b))
-            if w.size < cfg.walk_length:
+        tokens = corpus.tokens
+        assert tokens.shape == (len(corpus), cfg.walk_length)
+        sizes = np.count_nonzero(tokens >= 0, axis=1)
+        assert np.all(sizes >= 1)
+        # -1 pads the tail of a row and nothing else
+        assert np.array_equal(tokens >= 0, np.arange(cfg.walk_length) < sizes[:, None])
+        here, nxt = tokens[:, :-1], tokens[:, 1:]
+        for a, b in zip(here[nxt >= 0], nxt[nxt >= 0]):
+            assert g.has_edge(int(a), int(b))
+        for row, size in zip(tokens, sizes):
+            if size < cfg.walk_length:
                 # only an empty row may cut a walk short
-                assert g.neighbors(int(w[-1])).size == 0
+                assert g.neighbors(int(row[size - 1])).size == 0
         # every rep starts one walk at every node
-        assert np.all(starts == cfg.walks_per_node)
-        assert corpus.token_count() == sum(w.size for w in corpus.walks)
+        assert np.all(np.bincount(tokens[:, 0], minlength=n) == cfg.walks_per_node)
+        assert corpus.token_count() == sizes.sum()
 
     def test_isolated_start_is_singleton(self):
         g = Graph.from_edges(3, [(0, 1)])
         corpus = generate_walks(g, None, walk_config())
-        for w in corpus.walks:
+        for w in corpus.tokens:
             if w[0] == 2:
-                assert w.size == 1
+                assert np.all(w[1:] == -1)
             else:
                 assert 2 not in w
 
@@ -81,8 +84,8 @@ class TestCorpusShape:
         a = generate_walks(tri_pendant, None, cfg.with_seed(7))
         b = generate_walks(tri_pendant, None, cfg.with_seed(7))
         c = generate_walks(tri_pendant, None, cfg.with_seed(8))
-        assert all(np.array_equal(x, y) for x, y in zip(a.walks, b.walks))
-        assert any(not np.array_equal(x, y) for x, y in zip(a.walks, c.walks))
+        assert np.array_equal(a.tokens, b.tokens)
+        assert not np.array_equal(a.tokens, c.tokens)
 
 
 class TestFirstOrderDistribution:
@@ -125,9 +128,8 @@ class TestSecondOrder:
         corpus = node2vec_walks(
             c4, None, walk_config(walks_per_node=50, walk_length=20, p=1e12, q=1.0, seed=3),
         )
-        for w in corpus.walks:
-            for i in range(2, w.size):
-                assert w[i] != w[i - 2]
+        t = corpus.tokens
+        assert np.all((t[:, 2:] != t[:, :-2]) | (t[:, 2:] < 0))
 
     def test_tiny_q_pushes_outward(self, tri_pendant):
         # from (0 -> 2) the only non-neighbor of 0 among 2's neighbors is 3
@@ -135,13 +137,10 @@ class TestSecondOrder:
             tri_pendant, None,
             walk_config(walks_per_node=100, walk_length=20, p=1.0, q=1e-12, seed=4),
         )
-        seen = 0
-        for w in corpus.walks:
-            for i in range(2, w.size):
-                if w[i - 2] == 0 and w[i - 1] == 2:
-                    seen += 1
-                    assert w[i] == 3
-        assert seen > 10
+        t = corpus.tokens
+        seen = (t[:, :-2] == 0) & (t[:, 1:-1] == 2) & (t[:, 2:] >= 0)
+        assert np.all(t[:, 2:][seen] == 3)
+        assert seen.sum() > 10
 
     def test_neutral_parameters_reduce_to_first_order(self):
         g = er_graph(20, 0.3, seed=3)
@@ -149,8 +148,7 @@ class TestSecondOrder:
         first = generate_walks(g, None, cfg)
         second = node2vec_walks(g, None, cfg)
         assert len(first) == len(second)
-        for a, b in zip(first.walks, second.walks):
-            assert np.array_equal(a, b)
+        assert np.array_equal(first.tokens, second.tokens)
 
     def test_neutral_reduction_holds_with_motif_rows(self, two_triangles_bridged):
         g = two_triangles_bridged
@@ -158,8 +156,7 @@ class TestSecondOrder:
         cfg = walk_config(walks_per_node=4, walk_length=15, p=1.0, q=1.0, seed=11)
         first = generate_walks(g, tm, cfg)
         second = node2vec_walks(g, tm, cfg)
-        for a, b in zip(first.walks, second.walks):
-            assert np.array_equal(a, b)
+        assert np.array_equal(first.tokens, second.tokens)
 
     def test_second_order_composes_with_strict_rows(self, tri_pendant):
         # strict rows give edge (2,3) zero mass, so even with q pushing
@@ -172,3 +169,35 @@ class TestSecondOrder:
         )
         counts = transition_counts(corpus, 2, 4)
         assert counts[3] == 0
+
+
+class TestReference:
+    @given(
+        n=st.integers(min_value=2, max_value=20),
+        edge_p=st.floats(min_value=0.1, max_value=0.6),
+        isolated=st.integers(min_value=0, max_value=3),
+        mode=st.sampled_from([None, "strict", "smoothed"]),
+        walk_length=st.integers(min_value=1, max_value=12),
+        walks_per_node=st.integers(min_value=1, max_value=3),
+        pq=st.sampled_from([(1.0, 1.0), (2.0, 0.5), (0.5, 2.0)]),
+        seed=st.integers(min_value=0, max_value=9999),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_tokens_pairs_and_noise_match(self, n, edge_p, isolated, mode, walk_length,
+                                          walks_per_node, pq, seed, data):
+        window = data.draw(st.integers(min_value=1, max_value=walk_length + 1))
+        g = Graph.from_edges(n + isolated, er_graph(n, edge_p, seed).edges)
+        tm = None if mode is None else build_transition_model(g, count_triangles(g), mode)
+        cfg = walk_config(walks_per_node=walks_per_node, walk_length=walk_length,
+                          window=window, p=pq[0], q=pq[1], seed=seed)
+        for walker, reference in ((generate_walks, ref.generate_walks),
+                                  (node2vec_walks, ref.node2vec_walks)):
+            corpus, walks = walker(g, tm, cfg), reference(g, tm, cfg)
+            assert corpus.tokens.dtype == np.int64
+            assert np.array_equal(corpus.tokens, ref.padded(walks, walk_length))
+            assert corpus.token_count() == sum(w.size for w in walks)
+            for got, want in zip(extract_pairs(corpus, window), ref.extract_pairs(walks, window)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert (noise_distribution(corpus, g.node_count).tobytes()
+                    == ref.noise_distribution(walks, g.node_count).tobytes())
