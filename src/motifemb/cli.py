@@ -65,6 +65,11 @@ class RunConfig(TrainConfig):
     out: str = ""  # empty means stdout
     format: Literal["json", "csv"] = "json"
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.null_model < 0:
+            raise ValueError("null_model must be >= 0")
+
     @classmethod
     def read_file(cls, path) -> dict:
         """Typed ``{field: value}`` for the key=value lines of a config file."""

@@ -33,8 +33,11 @@ class Graph:
 
     ``edges`` holds each edge once as a (u, v) row with u < v, lexsorted.
     ``indptr``/``indices`` are the usual CSR neighbor arrays; every neighbor
-    list is strictly ascending. ``labels[i]`` is the external identifier the
-    node carried in its source file (None for synthetic graphs).
+    list is strictly ascending. ``edge_ids[p]`` is the row of ``edges``
+    stored at CSR position p, so ``values[edge_ids]`` spreads one value per
+    edge onto both of its positions. ``labels[i]`` is the external
+    identifier the node carried in its source file (None for synthetic
+    graphs).
 
     Instances are immutable (arrays are write-protected) and safe to share
     across threads.
@@ -44,6 +47,7 @@ class Graph:
     edges: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
+    edge_ids: np.ndarray
     labels: tuple[str, ...] | None = None
 
     @classmethod
@@ -53,9 +57,15 @@ class Graph:
         edges: Iterable[tuple[int, int]] | np.ndarray,
         labels: Sequence[str] | None = None,
     ) -> "Graph":
-        """Build a Graph from (u, v) pairs; dedups, drops self-loops, symmetrizes."""
-        arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
-                         dtype=np.int64)
+        """Build a Graph from (u, v) pairs; dedups, drops self-loops, symmetrizes.
+
+        The one place edges are deduplicated: pairs may repeat, in either
+        orientation. Endpoints must be whole numbers in [0, node_count).
+        """
+        raw = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges)
+        if raw.dtype.kind == "f" and not np.all(np.isfinite(raw) & (raw == np.trunc(raw))):
+            raise ValueError("edge endpoints must be whole numbers")
+        arr = raw.astype(np.int64)
         if arr.size == 0:
             arr = arr.reshape(0, 2)
         if arr.ndim != 2 or arr.shape[1] != 2:
@@ -64,18 +74,18 @@ class Graph:
             raise ValueError("node_count must be >= 1")
         if arr.size and (arr.min() < 0 or arr.max() >= node_count):
             raise ValueError("edge endpoint out of range")
-        keep = arr[:, 0] != arr[:, 1]
-        arr = arr[keep]
         lo = np.minimum(arr[:, 0], arr[:, 1])
         hi = np.maximum(arr[:, 0], arr[:, 1])
-        canon = np.unique(np.stack([lo, hi], axis=1), axis=0) if arr.size else arr
-        indptr, indices = _build_csr(node_count, canon)
-        for a in (canon, indptr, indices):
+        # one int64 key per pair, ordered as the pairs (lo, hi) lexsort
+        keys = np.unique((lo * node_count + hi)[lo != hi])
+        canon = np.stack(np.divmod(keys, node_count), axis=1)
+        indptr, indices, edge_ids = _build_csr(node_count, canon)
+        for a in (canon, indptr, indices, edge_ids):
             a.setflags(write=False)
         lab = tuple(labels) if labels is not None else None
         if lab is not None and len(lab) != node_count:
             raise ValueError("labels length must equal node_count")
-        return cls(node_count, canon, indptr, indices, lab)
+        return cls(node_count, canon, indptr, indices, edge_ids, lab)
 
     @property
     def edge_count(self) -> int:
@@ -115,15 +125,15 @@ class Graph:
         return f"Graph(|V|={self.node_count}, |E|={self.edge_count})"
 
 
-def _build_csr(node_count: int, canon: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _build_csr(node_count: int, canon: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(indptr, indices, edge_ids) of the symmetrized canonical edges."""
     src = np.concatenate([canon[:, 0], canon[:, 1]])
     dst = np.concatenate([canon[:, 1], canon[:, 0]])
     order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    counts = np.bincount(src, minlength=node_count)
     indptr = np.zeros(node_count + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr, dst.astype(np.int64)
+    np.cumsum(np.bincount(src, minlength=node_count), out=indptr[1:])
+    # position p holds the pair at row order[p] of (edges, reversed edges)
+    return indptr, dst[order], order % canon.shape[0]
 
 
 @dataclass(frozen=True)
@@ -156,8 +166,7 @@ def parse_edge_list(text: str | bytes | io.IOBase | Iterable[str]) -> Graph:
         lines = text
 
     ids: dict[str, int] = {}
-    edge_seen: set[tuple[int, int]] = set()
-    edge_order: list[tuple[int, int]] = []
+    ends: list[int] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith(COMMENT_PREFIXES):
@@ -168,16 +177,11 @@ def parse_edge_list(text: str | bytes | io.IOBase | Iterable[str]) -> Graph:
         a, b = tokens[0], tokens[1]
         if a == b:
             continue  # self-loop: dropped, ids not registered
-        u = ids.setdefault(a, len(ids))
-        v = ids.setdefault(b, len(ids))
-        key = (u, v) if u < v else (v, u)
-        if key not in edge_seen:
-            edge_seen.add(key)
-            edge_order.append(key)
-    if not edge_order:
+        ends.append(ids.setdefault(a, len(ids)))
+        ends.append(ids.setdefault(b, len(ids)))
+    if not ends:
         raise ParseError("no edges")
-    labels = list(ids.keys())
-    return Graph.from_edges(len(ids), np.asarray(edge_order, dtype=np.int64), labels)
+    return Graph.from_edges(len(ids), np.array(ends, dtype=np.int64).reshape(-1, 2), list(ids))
 
 
 def load_edge_list(path: str | Path) -> Graph:
@@ -194,35 +198,22 @@ def write_edge_list(g: Graph, path_or_buf: str | Path | io.TextIOBase) -> None:
     """
     if np.any(g.degrees == 0):
         raise ValueError("edge lists cannot represent isolated nodes")
-    emitted = np.zeros(g.edge_count, dtype=bool)
-    intro_lines: list[tuple[int, int]] = []
-    # Edge row index for each canonical pair, for marking introduction edges.
-    index_of = {(int(u), int(v)): i for i, (u, v) in enumerate(g.edges)}
+    intro: list[int] = []
     seen = np.zeros(g.node_count, dtype=bool)
     seen[0] = True
     for k in range(1, g.node_count):
-        if seen[k]:
-            continue
-        nbrs = g.neighbors(k)
-        smaller = nbrs[nbrs < k]
-        if smaller.size:
-            j = int(smaller[0])
-            intro_lines.append((j, k))
-            emitted[index_of[(j, k)]] = True
-        else:
-            # co-introduced with its smallest (larger) neighbor
-            m = int(nbrs[0])
-            intro_lines.append((k, m))
-            emitted[index_of[(k, m)]] = True
-            seen[m] = True
-        seen[k] = True
+        if not seen[k]:
+            # the edge to k's first neighbour introduces k, and that
+            # neighbour too when it is larger
+            intro.append(g.edge_ids[g.indptr[k]])
+            seen[g.indices[g.indptr[k]]] = True
+    rest = np.ones(g.edge_count, dtype=bool)
+    rest[intro] = False
+    order = np.concatenate([np.asarray(intro, dtype=np.int64), np.flatnonzero(rest)])
 
     def _dump(fh) -> None:
-        for u, v in intro_lines:
+        for u, v in g.edges[order].tolist():
             fh.write(f"{g.label_of(u)} {g.label_of(v)}\n")
-        for i, (u, v) in enumerate(g.edges):
-            if not emitted[i]:
-                fh.write(f"{g.label_of(int(u))} {g.label_of(int(v))}\n")
 
     if isinstance(path_or_buf, (str, Path)):
         with open(path_or_buf, "w", encoding="utf-8") as fh:

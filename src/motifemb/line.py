@@ -37,15 +37,13 @@ def edge_sampling_tables(g: Graph, weights: WeightedAdjacency):
 
 def _train_one_order(
     g: Graph,
-    weights: WeightedAdjacency,
+    edge_picks: CumulativeSampler,
+    negatives: CumulativeSampler,
     dim: int,
     order: str,
     config: TrainConfig,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    edge_cum, noise = edge_sampling_tables(g, weights)
-    edge_picks = CumulativeSampler(edge_cum)
-    negatives = CumulativeSampler.from_probabilities(noise)
     n = g.node_count
     w_center = (rng.random((n, dim)) - 0.5) / dim
     # first order: one shared matrix plays both roles
@@ -79,19 +77,22 @@ def train_line(
     if weights is None:
         weights = unit_adjacency(g)
     order = config.line_order
+    if order == "concat" and config.dim % 2:
+        raise ValueError("concat order needs an even dimension")
+    # samplers hold no RNG state, so both concat halves share them
+    edge_cum, noise = edge_sampling_tables(g, weights)
+    samplers = (CumulativeSampler(edge_cum), CumulativeSampler.from_probabilities(noise))
     if order in ("first", "second"):
         rng = np.random.default_rng(config.seed)
-        vectors = _train_one_order(g, weights, config.dim, order, config, rng)
+        vectors = _train_one_order(g, *samplers, config.dim, order, config, rng)
     else:
-        if config.dim % 2:
-            raise ValueError("concat order needs an even dimension")
         half = config.dim // 2
         seeds = np.random.SeedSequence(config.seed).spawn(2)
         first = _train_one_order(
-            g, weights, half, "first", config, np.random.default_rng(seeds[0])
+            g, *samplers, half, "first", config, np.random.default_rng(seeds[0])
         )
         second = _train_one_order(
-            g, weights, half, "second", config, np.random.default_rng(seeds[1])
+            g, *samplers, half, "second", config, np.random.default_rng(seeds[1])
         )
         vectors = np.hstack([first, second])
     return EmbeddingMatrix(vectors, {"trainer": "line", **asdict(config)})

@@ -88,12 +88,8 @@ class WeightedAdjacency:
 
 
 def _assemble(g: Graph, per_edge: np.ndarray) -> sp.csr_matrix:
-    rows = np.concatenate([g.edges[:, 0], g.edges[:, 1]])
-    cols = np.concatenate([g.edges[:, 1], g.edges[:, 0]])
-    data = np.concatenate([per_edge, per_edge]).astype(np.float64)
-    mat = sp.csr_matrix((data, (rows, cols)), shape=(g.node_count, g.node_count))
-    mat.sort_indices()
-    return mat
+    n = g.node_count
+    return sp.csr_matrix((per_edge[g.edge_ids], g.indices, g.indptr), shape=(n, n))
 
 
 def unit_adjacency(g: Graph) -> WeightedAdjacency:
@@ -138,21 +134,11 @@ class TransitionModel:
         return self.indices[lo:hi], self.probs[lo:hi]
 
 
-def _per_position_values(g: Graph, per_edge: np.ndarray) -> np.ndarray:
-    """Spread one value per canonical edge onto both CSR positions."""
-    mat = _assemble(g, per_edge.astype(np.float64))
-    if not np.array_equal(mat.indices, g.indices):
-        raise AssertionError("CSR layout mismatch")
-    return mat.data
-
-
 def _normalize_rows(g: Graph, masses: np.ndarray) -> np.ndarray:
-    cum = np.concatenate([[0.0], np.cumsum(masses)])
-    row_sums = cum[g.indptr[1:]] - cum[g.indptr[:-1]]
-    denom = np.repeat(row_sums, g.degrees)
-    probs = np.zeros_like(masses)
-    np.divide(masses, denom, out=probs, where=denom > 0)
-    return probs
+    """Each row's masses over the row's own left-to-right sum (a sequential
+    ``bincount``); every row with a neighbour has positive mass."""
+    row_of = np.repeat(np.arange(g.node_count), g.degrees)
+    return masses / np.bincount(row_of, weights=masses, minlength=g.node_count)[row_of]
 
 
 def build_transition_model(
@@ -171,14 +157,12 @@ def build_transition_model(
     """
     _check_stats_match(g, stats)
     if mode == "strict":
-        masses = _per_position_values(g, stats.edge_values)
+        masses = stats.edge_values[g.edge_ids].astype(np.float64)
         # a node's incident edge motif degrees sum to twice its node degree
         dead = (stats.node_degree == 0) & (g.degrees > 0)
-        if np.any(dead):
-            fallback = np.repeat(dead, g.degrees)
-            masses = np.where(fallback, 1.0, masses)
+        masses[np.repeat(dead, g.degrees)] = 1.0
     elif mode == "smoothed":
-        masses = _per_position_values(g, build_motif_adjacency(g, stats).edge_weights)
+        masses = build_motif_adjacency(g, stats).edge_weights[g.edge_ids]
     else:
         raise ValueError(f"unknown transition mode: {mode!r}")
     probs = _normalize_rows(g, masses)

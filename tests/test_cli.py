@@ -196,6 +196,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "line 2" in err
 
+    def test_negative_null_model_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["motifs", "--synthetic", "ppm", "--null-model", "-3",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: null_model")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [["embed", "--algorithm", "node2vec", "--p", "nan"],

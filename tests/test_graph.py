@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from motifemb import (
     write_edge_list,
 )
 
+import graph_reference
 from conftest import er_graph
 
 
@@ -29,7 +31,81 @@ def random_graph_strategy():
     )
 
 
+@st.composite
+def messy_pairs(draw):
+    """(node count, (E, 2) pairs) with self-loops, repeats, reversed repeats
+    and 0-3 isolated nodes past the last endpoint."""
+    n = draw(st.integers(min_value=1, max_value=25))
+    node = st.integers(min_value=0, max_value=n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=60))
+    if pairs:
+        again = draw(st.lists(st.sampled_from(pairs), max_size=20))
+        pairs += [(v, u) if draw(st.booleans()) else (u, v) for u, v in again]
+        pairs = draw(st.permutations(pairs))
+    isolated = draw(st.integers(min_value=0, max_value=3))
+    return n + isolated, np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+@st.composite
+def messy_edge_text(draw):
+    """Edge-list text with comments, blank lines, commas, tabs, extra
+    columns, self-loops, repeated and reversed edges, and rarely a line
+    with one token."""
+    token = st.sampled_from(["a", "b", "c", "7", "07", "x-1", "n3", "é"])
+    sep = st.sampled_from([" ", ",", "\t", " , ", "  "])
+    lines = []
+    for kind in draw(st.lists(st.integers(min_value=0, max_value=59), max_size=40)):
+        if kind == 0:
+            lines.append(draw(token))
+        elif kind <= 2:
+            lines.append(draw(st.sampled_from(["", "   ", "# note", "  % a b", "#1 2"])))
+        else:
+            cols = [draw(token), draw(token)] + draw(st.lists(
+                st.sampled_from(["1", "0.5", "w", "a"]), max_size=2))
+            line = cols[0]
+            for col in cols[1:]:
+                line += draw(sep) + col
+            lines.append(draw(st.sampled_from(["", " "])) + line)
+    return "\n".join(lines)
+
+
+class TestLayout:
+    @given(messy_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_position_map(self, case):
+        n, pairs = case
+        g = Graph.from_edges(n, pairs)
+        assert np.array_equal(g.edges, graph_reference.canonical_edges(pairs))
+        assert Graph.from_edges(n, [tuple(e) for e in pairs.tolist()]) == g
+        # edge_ids[p] is the sorted (row, neighbor) pair at CSR position p
+        rows = np.repeat(np.arange(n), g.degrees)
+        want = np.stack([np.minimum(rows, g.indices), np.maximum(rows, g.indices)], axis=1)
+        assert np.array_equal(g.edges[g.edge_ids], want)
+        assert not g.edge_ids.flags.writeable
+
+    @pytest.mark.parametrize("bad", [[[0.9, 1.7], [1.2, 2.9]], [[0.0, np.nan]], [[0.0, np.inf]]])
+    def test_fractional_endpoints_rejected(self, bad):
+        with pytest.raises(ValueError, match="whole numbers"):
+            Graph.from_edges(3, np.array(bad))
+
+    def test_whole_float_endpoints_accepted(self):
+        assert Graph.from_edges(3, np.array([[2.0, 1.0]])) == Graph.from_edges(3, [(1, 2)])
+
+
 class TestParse:
+    @given(messy_edge_text())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_set_parser(self, text):
+        try:
+            n, edges, labels = graph_reference.parse_edge_list(text)
+        except ValueError as exc:
+            with pytest.raises(ParseError, match=f"^{re.escape(str(exc))}$"):
+                parse_edge_list(text)
+            return
+        g = parse_edge_list(text)
+        assert (g.node_count, g.labels) == (n, labels)
+        assert np.array_equal(g.edges, edges)
+
     def test_triangle(self):
         g = parse_edge_list("0 1\n1 2\n2 0\n")
         assert g.node_count == 3

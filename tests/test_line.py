@@ -15,6 +15,7 @@ from motifemb import (
     train_line,
     unit_adjacency,
 )
+import motifemb.line
 from motifemb.line import edge_sampling_tables
 from motifemb.motifs import WeightedAdjacency
 
@@ -124,6 +125,17 @@ class TestTrainLine:
         for (center_idx, ctx_idx), (want_center, want_ctx) in zip(step_log, want):
             assert np.array_equal(center_idx, want_center)
             assert np.array_equal(ctx_idx, want_ctx)
+
+    def test_concat_builds_tables_once(self, two_triangles_bridged, monkeypatch):
+        calls = []
+
+        def counting_tables(g, weights):
+            calls.append(g)
+            return edge_sampling_tables(g, weights)
+
+        monkeypatch.setattr(motifemb.line, "edge_sampling_tables", counting_tables)
+        train_line(two_triangles_bridged, None, line_config(line_order="concat"))
+        assert len(calls) == 1
 
     def test_concat_needs_even_dim(self, two_triangles_bridged):
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ from motifemb import (
     build_motif_adjacency,
     build_transition_model,
     count_triangles,
+    planted_partition,
     uniform_transitions,
     unit_adjacency,
 )
@@ -46,6 +47,16 @@ def edge_counts(g: Graph, stats) -> dict:
 
 def direct_adjacency_weight(ed_value: int, motif_size: int = 3) -> float:
     return 1.0 + ed_value / motif_size if ed_value > 0 else 1.0
+
+
+def assert_rows_exact(tm) -> None:
+    """Each row's probs are its masses over their left-to-right sum."""
+    for v in range(tm.node_count):
+        masses = tm.masses[tm.indptr[v]:tm.indptr[v + 1]]
+        total = 0.0
+        for m in masses.tolist():
+            total += m
+        assert np.array_equal(tm.probs[tm.indptr[v]:tm.indptr[v + 1]], masses / total)
 
 
 def direct_strict_row(g: Graph, ed: dict, node: int) -> np.ndarray:
@@ -275,6 +286,27 @@ class TestTransitionModel:
             _, probs = tm.row(v)
             expected = direct_strict_row(g, ed, v)
             assert np.allclose(probs, expected, atol=1e-12)
+
+    @given(
+        n=st.integers(min_value=3, max_value=25),
+        p=st.floats(min_value=0.1, max_value=0.8),
+        seed=st.integers(min_value=0, max_value=99_999),
+        isolated=st.integers(min_value=0, max_value=2),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_rows_are_exact_quotients(self, n, p, seed, isolated):
+        g = Graph.from_edges(n + isolated, er_graph(n, p, seed).edges)
+        stats = count_triangles(g)
+        for mode in ("strict", "smoothed"):
+            assert_rows_exact(build_transition_model(g, stats, mode))
+        assert_rows_exact(uniform_transitions(g))
+
+    def test_rows_are_exact_quotients_on_acceptance_instance(self):
+        g, _ = planted_partition(seed=5)
+        stats = count_triangles(g)
+        for mode in ("strict", "smoothed"):
+            assert_rows_exact(build_transition_model(g, stats, mode))
+        assert_rows_exact(uniform_transitions(g))
 
     def test_equal_counts_reduce_to_uniform_bitwise(self, k4, petersen):
         # all EDs equal (2 on K4, 0 on Petersen): rows must equal the plain
