@@ -92,25 +92,24 @@ def make_split(
     keep[removed] = False
     train = Graph.from_edges(g.node_count, g.edges[keep], labels=g.labels)
 
-    forbidden = g.edge_set()
-    negatives: set[tuple[int, int]] = set()
-    max_non_edges = g.node_count * (g.node_count - 1) // 2 - m
-    if max_non_edges < len(removed):
+    n = g.node_count
+    if n * (n - 1) // 2 - m < removed.size:
         raise ValueError("graph too dense to sample matching non-edges")
-    while len(negatives) < len(removed):
-        draw = rng.integers(0, g.node_count, size=(2 * len(removed), 2))
-        for a, b in draw:
-            if len(negatives) == len(removed):
-                break
-            if a == b:
-                continue
-            pair = (int(min(a, b)), int(max(a, b)))
-            if pair in forbidden or pair in negatives:
-                continue
-            negatives.add(pair)
-    pos = g.edges[removed]
-    neg = np.asarray(sorted(negatives), dtype=np.int64)
-    return LinkPredSplit(train, pos, neg, fraction, seed)
+    # g.edges is sorted by the key u * n + v, so membership is one searchsorted
+    edge_keys = g.edges[:, 0] * n + g.edges[:, 1]
+    chosen = np.empty(0, dtype=np.int64)  # accepted keys, in draw order
+    while chosen.size < removed.size:
+        draw = rng.integers(0, n, size=(2 * removed.size, 2))
+        lo, hi = draw.min(axis=1), draw.max(axis=1)
+        keys = (lo * n + hi)[lo != hi]
+        at = np.minimum(np.searchsorted(edge_keys, keys), m - 1)
+        pool = np.concatenate([chosen, keys[edge_keys[at] != keys]])
+        # first occurrences of keys not accepted before, in draw order
+        _, first = np.unique(pool, return_index=True)
+        fresh = np.sort(first[first >= chosen.size])[: removed.size - chosen.size]
+        chosen = np.concatenate([chosen, pool[fresh]])
+    neg = np.stack(np.divmod(np.sort(chosen), n), axis=1)
+    return LinkPredSplit(train, g.edges[removed], neg, fraction, seed)
 
 
 def cosine_scores(emb: EmbeddingMatrix, pairs: np.ndarray) -> tuple[np.ndarray, int]:

@@ -57,8 +57,7 @@ def _train_one_order(
         b = min(config.batch_size, total - processed)
         lr = max(lr0 * (1.0 - processed / total), lr0 * LR_FLOOR_FACTOR)
         picks = edge_picks.draw(rng, b)
-        src = g.edges[picks, 0].astype(np.int64)
-        dst = g.edges[picks, 1].astype(np.int64)
+        src, dst = np.take(g.edges, picks, axis=0).T
         flip = rng.random(b) < 0.5
         src, dst = np.where(flip, dst, src), np.where(flip, src, dst)
         ctx_idx = np.empty((b, 1 + k), dtype=np.int64)

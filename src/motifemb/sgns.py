@@ -7,7 +7,8 @@ for a given corpus and config. The learning rate decays linearly over
 the total pair budget with a floor of 1e-4 times the initial rate.
 
 SGNS and LINE share one update, ``sgns_step``, whose scatter kernel sums
-each row's gradients in batch order with one ``bincount``, and one sampler,
+each row's gradients in batch order with one sparse-times-dense product
+(no (b, k+1, d) gradient tensor is built), and one sampler,
 ``CumulativeSampler``, built once per run (per order in LINE). The sampler
 draws exactly what ``rng.choice(n, size, p=noise)`` and LINE's clamped
 ``searchsorted`` edge pick draw, from the same generator calls.
@@ -21,6 +22,7 @@ from __future__ import annotations
 from dataclasses import asdict
 
 import numpy as np
+import scipy.sparse as sp
 
 from .config import TrainConfig
 from .embedding import EmbeddingMatrix
@@ -151,21 +153,28 @@ class CumulativeSampler:
         return self._ids[i]
 
 
-def _scatter_add(matrix: np.ndarray, idx: np.ndarray, grads: np.ndarray) -> None:
-    """matrix[idx] += grads with duplicate idx rows summed; deterministic.
+def _scatter_add(
+    matrix: np.ndarray, idx: np.ndarray, coef: np.ndarray, vecs: np.ndarray
+) -> None:
+    """matrix[idx[b, j]] += coef[b, j] * vecs[b]; each row's terms summed in batch order.
 
-    One flat ``bincount`` over the touched rows sums each row's gradients
-    in batch order, so the result equals ``np.add.at`` into a zero buffer
-    followed by one add per touched row, bit for bit.
+    Touched rows are renumbered 0..t-1 and the sums are one CSC product
+    ``A @ vecs``, column b of A holding batch row b's entries. scipy walks
+    the columns in order and adds each ``coef * vecs[b]`` to a zero row,
+    so the result equals ``np.add.at`` into a zero buffer followed by one
+    add per touched row, bit for bit.
     """
-    d = matrix.shape[1]
+    b, m = idx.shape
     touched = np.zeros(matrix.shape[0], dtype=bool)
     touched[idx] = True
     rows = np.flatnonzero(touched)
-    local = np.cumsum(touched) - 1
-    flat = (local[idx] * d)[:, None] + np.arange(d)
-    sums = np.bincount(flat.ravel(), weights=grads.ravel(), minlength=rows.size * d)
-    matrix[rows] += sums.reshape(rows.size, d)
+    itype = np.int32 if max(b * m, matrix.shape[0]) < 2**31 else np.int64
+    local = np.cumsum(touched, dtype=itype) - 1
+    per_row = sp.csc_matrix(
+        (coef.ravel(), local[idx].ravel(), np.arange(0, b * m + 1, m, dtype=itype)),
+        shape=(rows.size, b),
+    )
+    matrix[rows] += per_row @ vecs
 
 
 def sgns_step(
@@ -182,16 +191,17 @@ def sgns_step(
     Gradients are taken at the pre-step values, so passing one matrix as
     both arguments (LINE first order) updates it consistently.
     """
-    c_vec = w_center[center_idx]
-    ctx_vec = w_ctx[ctx_idx]
+    c_vec = np.take(w_center, center_idx, axis=0)
+    ctx_vec = np.take(w_ctx, ctx_idx, axis=0)
     g_score = -sigmoid(np.einsum("bd,bkd->bk", c_vec, ctx_vec))
     g_score[:, 0] += 1.0  # positive column label
-    _scatter_add(w_center, center_idx, lr * np.einsum("bk,bkd->bd", g_score, ctx_vec))
     _scatter_add(
-        w_ctx,
-        ctx_idx.reshape(-1),
-        ((lr * g_score)[:, :, None] * c_vec[:, None, :]).reshape(-1, c_vec.shape[1]),
+        w_center,
+        center_idx[:, None],
+        np.ones((center_idx.size, 1)),
+        lr * np.einsum("bk,bkd->bd", g_score, ctx_vec),
     )
+    _scatter_add(w_ctx, ctx_idx, lr * g_score, c_vec)
 
 
 def train_sgns(
@@ -225,9 +235,9 @@ def train_sgns(
             b = batch.size
             lr = max(lr0 * (1.0 - processed / total_budget), lr0 * LR_FLOOR_FACTOR)
             ctx_idx = np.empty((b, 1 + k), dtype=np.int64)
-            ctx_idx[:, 0] = contexts[batch]
+            ctx_idx[:, 0] = np.take(contexts, batch)
             ctx_idx[:, 1:] = negatives.draw(rng, (b, k))
-            sgns_step(w_center, w_ctx, centers[batch], ctx_idx, lr)
+            sgns_step(w_center, w_ctx, np.take(centers, batch), ctx_idx, lr)
             processed += b
     emb = EmbeddingMatrix(w_center, {"trainer": "sgns", **asdict(config)})
     return (emb, w_ctx) if return_context else emb

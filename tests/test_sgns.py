@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import motifemb.line
+import motifemb.sgns
 from motifemb import TrainConfig, generate_walks, train_line, train_sgns
 from motifemb.graph import Graph
 from motifemb.sgns import (
@@ -25,6 +27,7 @@ from motifemb.sgns import (
 )
 from motifemb.walks import WalkCorpus
 
+import sgns_reference
 from conftest import er_graph
 from walk_reference import padded
 
@@ -214,31 +217,38 @@ class TestNoiseDistribution:
 class TestScatterAdd:
     @given(
         seed=st.integers(min_value=0, max_value=9999),
-        rows=st.integers(min_value=1, max_value=12),
+        rows=st.one_of(
+            st.integers(min_value=1, max_value=12), st.integers(min_value=500, max_value=3000)
+        ),
         batch=st.integers(min_value=1, max_value=64),
+        width=st.integers(min_value=1, max_value=5),
         dim=st.sampled_from([1, 5, 64]),
         one_row=st.booleans(),
     )
-    @settings(max_examples=60, deadline=None)
-    def test_matches_add_at(self, seed, rows, batch, dim, one_row):
-        # oracle: np.add.at into zeros (row sums in batch order), then one
-        # add per touched row; the kernel must match it byte for byte
+    @settings(max_examples=80, deadline=None)
+    def test_matches_add_at(self, seed, rows, batch, width, dim, one_row):
+        # oracle: np.add.at of every coef * vec term into zeros (row sums in
+        # batch order), then one add per touched row; the kernel must match
+        # it byte for byte, also when most rows are untouched
         rng = np.random.default_rng(seed)
         a = rng.normal(size=(rows, dim))
         b = a.copy()
-        idx = np.full(batch, rows - 1) if one_row else rng.integers(0, rows, size=batch)
-        grads = rng.normal(size=(batch, dim))
-        _scatter_add(a, idx, grads)
+        shape = (batch, width)
+        idx = np.full(shape, rows - 1) if one_row else rng.integers(0, rows, size=shape)
+        coef = rng.normal(size=shape)
+        vecs = rng.normal(size=(batch, dim))
+        _scatter_add(a, idx, coef, vecs)
         sums = np.zeros_like(b)
-        np.add.at(sums, idx, grads)
+        np.add.at(sums, idx.ravel(), (coef[:, :, None] * vecs[:, None, :]).reshape(-1, dim))
         touched = np.unique(idx)
         b[touched] += sums[touched]
         assert a.tobytes() == b.tobytes()
 
     def test_duplicate_rows_summed_once(self):
-        m = np.zeros((2, 3))
-        _scatter_add(m, np.array([1, 1, 1]), np.ones((3, 3)))
-        assert np.array_equal(m, [[0, 0, 0], [3, 3, 3]])
+        m = np.zeros((3, 3))
+        _scatter_add(m, np.array([[1, 1], [1, 2]]), np.array([[1.0, 2.0], [3.0, 1.0]]),
+                     np.ones((2, 3)))
+        assert np.array_equal(m, [[0, 0, 0], [6, 6, 6], [1, 1, 1]])
 
 
 def weight_vectors(max_size: int = 40):
@@ -363,6 +373,54 @@ class TestSgnsStep:
         want_ctx[ctx[0, 1:]] += lr * g_negs
         assert np.allclose(w_center, want_center, rtol=0, atol=1e-12)
         assert np.allclose(w_ctx, want_ctx, rtol=0, atol=1e-12)
+
+
+class TestReferenceStep:
+    """Training with the flat-index bincount step of sgns_reference.py
+    patched in must give the same bytes: for SGNS, and for LINE's shared
+    first-order matrix, second order and concat; with node counts far
+    below the batch (every batch repeats rows) and far above it."""
+
+    @given(
+        trainer=st.sampled_from(["sgns", "first", "second", "concat"]),
+        n=st.one_of(
+            st.integers(min_value=4, max_value=8), st.integers(min_value=150, max_value=300)
+        ),
+        batch_size=st.sampled_from([3, 16, 512]),
+        dim=st.sampled_from([2, 6]),
+        negatives=st.integers(min_value=1, max_value=4),
+        graph_seed=st.integers(min_value=0, max_value=9999),
+        seed=st.integers(min_value=0, max_value=9999),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_trainers_match_reference_step(
+        self, trainer, n, batch_size, dim, negatives, graph_seed, seed
+    ):
+        g = er_graph(n, 3.0 / n, graph_seed)
+        cfg = TrainConfig(
+            dim=dim, walks_per_node=2, walk_length=6, window=2, negatives=negatives,
+            epochs=1, batch_size=batch_size, line_samples_factor=4, seed=seed,
+            line_order="first" if trainer == "sgns" else trainer,
+        )
+
+        def train() -> bytes:
+            if trainer == "sgns":
+                return train_sgns(generate_walks(g, None, cfg), cfg, n).vectors.tobytes()
+            return train_line(g, None, cfg).vectors.tobytes()
+
+        calls = []
+
+        def reference_step(*args):
+            calls.append(1)
+            sgns_reference.sgns_step(*args)
+
+        ours = train()
+        with pytest.MonkeyPatch.context() as mp:
+            for module in (motifemb.sgns, motifemb.line):
+                mp.setattr(module, "sgns_step", reference_step)
+            theirs = train()
+        assert calls
+        assert ours == theirs
 
 
 class TestTraining:
