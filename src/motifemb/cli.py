@@ -8,7 +8,7 @@ and, for Literal fields, restricted to the same choices. A config file holds
 flat key=value lines; explicit command-line flags override file values,
 which override defaults, and the merged values are validated once. Exit code
 0 on success, 2 on bad input (unparseable graph, unknown names or choices,
-missing files).
+an empty or repeating seed list, conflicting flags, missing files).
 """
 from __future__ import annotations
 
@@ -24,11 +24,10 @@ import numpy as np
 
 from .config import TrainConfig, field_types
 from .graph import ParseError, graph_stats, load_edge_list, null_model_rewire
-from .motifs import count_triangles
+from .motifs import MotifMode, count_triangles
 from .pipeline import (
     ALGORITHMS,
     VARIANTS,
-    MotifMode,
     embed_graph,
     run_report,
     write_report_csv,
@@ -108,25 +107,19 @@ class RunConfig(TrainConfig):
     def seed_list(self) -> list[int]:
         if not self.seeds:
             return [self.seed]
-        return [int(tok) for tok in self.seeds.split(",") if tok.strip() != ""]
+        seeds = [int(tok) for tok in self.seeds.split(",") if tok.strip() != ""]
+        if not seeds:
+            raise ValueError(f"seeds lists no seed: {self.seeds!r}")
+        repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+        if repeated:
+            raise ValueError(f"seeds repeat: {', '.join(map(str, repeated))}")
+        return seeds
 
     def algorithm_list(self) -> tuple[str, ...]:
-        if self.algorithm == "all":
-            return ALGORITHMS
-        chosen = tuple(tok.strip() for tok in self.algorithm.split(","))
-        bad = [a for a in chosen if a not in ALGORITHMS]
-        if bad:
-            raise ValueError(f"unknown algorithm(s): {', '.join(bad)}")
-        return chosen
+        return _choose(self.algorithm, ALGORITHMS, "algorithm")
 
     def variant_list(self) -> tuple[str, ...]:
-        if self.variant == "all":
-            return VARIANTS
-        chosen = tuple(tok.strip() for tok in self.variant.split(","))
-        bad = [v for v in chosen if v not in VARIANTS]
-        if bad:
-            raise ValueError(f"unknown variant(s): {', '.join(bad)}")
-        return chosen
+        return _choose(self.variant, VARIANTS, "variant")
 
     def threshold_value(self) -> float | None:
         if self.threshold == "median":
@@ -135,6 +128,17 @@ class RunConfig(TrainConfig):
         if not np.isfinite(value):
             raise ValueError(f"threshold must be 'median' or a finite number, got {value}")
         return value
+
+
+def _choose(value: str, allowed: tuple[str, ...], what: str) -> tuple[str, ...]:
+    """``allowed`` for "all", else the comma list, each entry in ``allowed``."""
+    if value == "all":
+        return allowed
+    chosen = tuple(tok.strip() for tok in value.split(","))
+    bad = [c for c in chosen if c not in allowed]
+    if bad:
+        raise ValueError(f"unknown {what}(s): {', '.join(bad)}")
+    return chosen
 
 
 def _load_graph(run: RunConfig):
@@ -174,6 +178,8 @@ def cmd_stats(run: RunConfig) -> int:
 
 def cmd_motifs(run: RunConfig) -> int:
     """triangle participation counts"""
+    if run.format == "csv" and run.null_model > 0:
+        raise ValueError("--null-model and --format csv conflict: csv has no null-model block")
     g, _ = _load_graph(run)
     stats = count_triangles(g)
     rows = [[u, v, c] for (u, v), c in zip(g.edges.tolist(), stats.edge_values.tolist())]

@@ -46,7 +46,6 @@ class LinkPredSplit:
     train_graph: Graph
     test_edges: np.ndarray
     test_non_edges: np.ndarray
-    fraction: float
     seed: int
 
 
@@ -109,7 +108,7 @@ def make_split(
         fresh = np.sort(first[first >= chosen.size])[: removed.size - chosen.size]
         chosen = np.concatenate([chosen, pool[fresh]])
     neg = np.stack(np.divmod(np.sort(chosen), n), axis=1)
-    return LinkPredSplit(train, g.edges[removed], neg, fraction, seed)
+    return LinkPredSplit(train, g.edges[removed], neg, seed)
 
 
 def cosine_scores(emb: EmbeddingMatrix, pairs: np.ndarray) -> tuple[np.ndarray, int]:

@@ -17,7 +17,7 @@ from .config import TrainConfig
 from .embedding import EmbeddingMatrix
 from .graph import Graph
 from .motifs import WeightedAdjacency, unit_adjacency
-from .sgns import LR_FLOOR_FACTOR, CumulativeSampler, sgns_step
+from .sgns import CumulativeSampler, train_pairs
 
 __all__ = ["edge_sampling_tables", "train_line"]
 
@@ -35,39 +35,6 @@ def edge_sampling_tables(g: Graph, weights: WeightedAdjacency):
     return edge_cum, noise
 
 
-def _train_one_order(
-    g: Graph,
-    edge_picks: CumulativeSampler,
-    negatives: CumulativeSampler,
-    dim: int,
-    order: str,
-    config: TrainConfig,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    n = g.node_count
-    w_center = (rng.random((n, dim)) - 0.5) / dim
-    # first order: one shared matrix plays both roles
-    w_ctx = w_center if order == "first" else np.zeros((n, dim))
-
-    k = config.negatives
-    lr0 = config.learning_rate
-    total = config.epochs * config.line_samples_factor * g.edge_count
-    processed = 0
-    while processed < total:
-        b = min(config.batch_size, total - processed)
-        lr = max(lr0 * (1.0 - processed / total), lr0 * LR_FLOOR_FACTOR)
-        picks = edge_picks.draw(rng, b)
-        src, dst = np.take(g.edges, picks, axis=0).T
-        flip = rng.random(b) < 0.5
-        src, dst = np.where(flip, dst, src), np.where(flip, src, dst)
-        ctx_idx = np.empty((b, 1 + k), dtype=np.int64)
-        ctx_idx[:, 0] = dst
-        ctx_idx[:, 1:] = negatives.draw(rng, (b, k))
-        sgns_step(w_center, w_ctx, src, ctx_idx, lr)
-        processed += b
-    return w_center
-
-
 def train_line(
     g: Graph,
     weights: WeightedAdjacency | None,
@@ -75,23 +42,30 @@ def train_line(
 ) -> EmbeddingMatrix:
     if weights is None:
         weights = unit_adjacency(g)
-    order = config.line_order
-    if order == "concat" and config.dim % 2:
-        raise ValueError("concat order needs an even dimension")
+    if config.line_order == "concat":
+        if config.dim % 2:
+            raise ValueError("concat order needs an even dimension")
+        orders, seeds = ("first", "second"), np.random.SeedSequence(config.seed).spawn(2)
+    else:
+        orders, seeds = (config.line_order,), (config.seed,)
+    dim = config.dim // len(orders)
     # samplers hold no RNG state, so both concat halves share them
     edge_cum, noise = edge_sampling_tables(g, weights)
-    samplers = (CumulativeSampler(edge_cum), CumulativeSampler.from_probabilities(noise))
-    if order in ("first", "second"):
-        rng = np.random.default_rng(config.seed)
-        vectors = _train_one_order(g, *samplers, config.dim, order, config, rng)
-    else:
-        half = config.dim // 2
-        seeds = np.random.SeedSequence(config.seed).spawn(2)
-        first = _train_one_order(
-            g, *samplers, half, "first", config, np.random.default_rng(seeds[0])
-        )
-        second = _train_one_order(
-            g, *samplers, half, "second", config, np.random.default_rng(seeds[1])
-        )
-        vectors = np.hstack([first, second])
-    return EmbeddingMatrix(vectors, {"trainer": "line", **asdict(config)})
+    edge_picks = CumulativeSampler(edge_cum)
+    negatives = CumulativeSampler.from_probabilities(noise)
+    total = config.epochs * config.line_samples_factor * g.edge_count
+
+    def batches(rng):
+        for lo in range(0, total, config.batch_size):
+            b = min(config.batch_size, total - lo)
+            src, dst = np.take(g.edges, edge_picks.draw(rng, b), axis=0).T
+            flip = rng.random(b) < 0.5
+            yield np.where(flip, dst, src), np.where(flip, src, dst)
+
+    halves = []
+    for order, seed in zip(orders, seeds):
+        rng = np.random.default_rng(seed)
+        w_center, _ = train_pairs(g.node_count, dim, batches(rng), total, negatives, config,
+                                  rng, shared=order == "first")
+        halves.append(w_center)
+    return EmbeddingMatrix(np.hstack(halves), {"trainer": "line", **asdict(config)})

@@ -21,7 +21,8 @@ __all__ = [
     "uniform_transitions",
 ]
 
-TransitionMode = Literal["strict", "smoothed", "uniform"]
+# how motif degrees bias walk transitions (see build_transition_model)
+MotifMode = Literal["strict", "smoothed"]
 MOTIF_SIZE = 3  # nodes in a triangle, the one motif counted
 
 
@@ -127,7 +128,6 @@ class TransitionModel:
     indices: np.ndarray
     probs: np.ndarray
     masses: np.ndarray
-    mode: TransitionMode
 
     def row(self, node: int) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = self.indptr[node], self.indptr[node + 1]
@@ -144,7 +144,7 @@ def _normalize_rows(g: Graph, masses: np.ndarray) -> np.ndarray:
 def build_transition_model(
     g: Graph,
     stats: MotifStats,
-    mode: TransitionMode = "strict",
+    mode: MotifMode = "strict",
 ) -> TransitionModel:
     """Motif-biased walk transitions.
 
@@ -168,7 +168,7 @@ def build_transition_model(
     probs = _normalize_rows(g, masses)
     for a in (masses, probs):
         a.setflags(write=False)
-    return TransitionModel(g.node_count, g.indptr, g.indices, probs, masses, mode)
+    return TransitionModel(g.node_count, g.indptr, g.indices, probs, masses)
 
 
 def uniform_transitions(g: Graph) -> TransitionModel:
@@ -177,4 +177,4 @@ def uniform_transitions(g: Graph) -> TransitionModel:
     probs = _normalize_rows(g, masses)
     for a in (masses, probs):
         a.setflags(write=False)
-    return TransitionModel(g.node_count, g.indptr, g.indices, probs, masses, "uniform")
+    return TransitionModel(g.node_count, g.indptr, g.indices, probs, masses)

@@ -14,7 +14,7 @@ import io
 import json
 from dataclasses import asdict
 from pathlib import Path
-from typing import Literal, get_args
+from typing import get_args
 
 import numpy as np
 
@@ -30,7 +30,13 @@ from .evaluation import (
 )
 from .graph import Graph
 from .line import train_line
-from .motifs import MotifStats, build_motif_adjacency, build_transition_model, count_triangles
+from .motifs import (
+    MotifMode,
+    MotifStats,
+    build_motif_adjacency,
+    build_transition_model,
+    count_triangles,
+)
 from .sgns import train_sgns
 from .spectral import train_spectral
 from .walks import generate_walks, node2vec_walks
@@ -52,7 +58,6 @@ __all__ = [
 
 ALGORITHMS = ("deepwalk", "node2vec", "line", "spectral")
 VARIANTS = ("base", "mo")
-MotifMode = Literal["strict", "smoothed"]
 MODES = get_args(MotifMode)
 # back-ends whose embedding depends on the graph alone: spectral reads no
 # seed, so a cluster report embeds its graph once per variant for them

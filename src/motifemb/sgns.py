@@ -1,17 +1,21 @@
-"""Skip-gram with negative sampling over walk corpora.
+"""Skip-gram with negative sampling, and the one SGD driver SGNS and LINE share.
 
-Center vectors start at uniform(-0.5, 0.5)/dim, context vectors at zero.
-Updates run in fixed-order minibatches with exact gradient accumulation
-(duplicate rows within a batch are summed), so results are deterministic
-for a given corpus and config. The learning rate decays linearly over
-the total pair budget with a floor of 1e-4 times the initial rate.
+``train_pairs`` is the training loop of both. It starts center vectors at
+uniform(-0.5, 0.5)/dim and context vectors at zero (LINE's first order
+shares one matrix for both roles), decays the learning rate linearly over
+the pair budget with a floor of 1e-4 times the initial rate, draws each
+batch's negatives right after the batch, and applies ``sgns_step``. The
+callers only supply the (center, context) batches: ``train_sgns`` one
+permutation of the window pairs per epoch, ``train_line`` weighted edge
+draws with random flips. Minibatches run in a fixed order with exact
+gradient accumulation (duplicate rows within a batch are summed), so
+results are deterministic for a given input and config.
 
-SGNS and LINE share one update, ``sgns_step``, whose scatter kernel sums
-each row's gradients in batch order with one sparse-times-dense product
-(no (b, k+1, d) gradient tensor is built), and one sampler,
-``CumulativeSampler``, built once per run (per order in LINE). The sampler
-draws exactly what ``rng.choice(n, size, p=noise)`` and LINE's clamped
-``searchsorted`` edge pick draw, from the same generator calls.
+``sgns_step``'s scatter kernel sums each row's gradients in batch order
+with one sparse-times-dense product (no (b, k+1, d) gradient tensor is
+built). ``CumulativeSampler``, built once per run, draws exactly what
+``rng.choice(n, size, p=noise)`` and LINE's clamped ``searchsorted`` edge
+pick draw, from the same generator calls.
 
 Because contexts start at zero, center vectors receive no gradient until
 the second minibatch; keep batch_size well below the pair count (or epochs
@@ -37,6 +41,7 @@ __all__ = [
     "noise_distribution",
     "CumulativeSampler",
     "sgns_step",
+    "train_pairs",
     "train_sgns",
 ]
 
@@ -204,6 +209,33 @@ def sgns_step(
     _scatter_add(w_ctx, ctx_idx, lr * g_score, c_vec)
 
 
+def train_pairs(
+    node_count: int,
+    dim: int,
+    batches,
+    total: int,
+    negatives: CumulativeSampler,
+    config: TrainConfig,
+    rng: np.random.Generator,
+    shared: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(center, context) matrices trained on ``batches``, an iterator of
+    (center ids, positive context ids) that may draw from ``rng`` itself;
+    it is advanced only after the init draw. ``total`` is the pair budget
+    the learning rate decays over; ``shared`` gives one matrix both roles."""
+    w_center = (rng.random((node_count, dim)) - 0.5) / dim
+    w_ctx = w_center if shared else np.zeros((node_count, dim))
+    lr0 = config.learning_rate
+    processed = 0
+    for center_idx, pos_idx in batches:
+        lr = max(lr0 * (1.0 - processed / total), lr0 * LR_FLOOR_FACTOR)
+        # column 0 the positive context, then the negatives
+        negs = negatives.draw(rng, (center_idx.size, config.negatives))
+        sgns_step(w_center, w_ctx, center_idx, np.column_stack([pos_idx, negs]), lr)
+        processed += center_idx.size
+    return w_center, w_ctx
+
+
 def train_sgns(
     corpus: WalkCorpus,
     config: TrainConfig,
@@ -215,29 +247,20 @@ def train_sgns(
     return_context=True additionally returns the raw context matrix, which
     the objective actually scores against; useful for probing convergence.
     """
-    rng = np.random.default_rng(config.seed)
-    d = config.dim
-    w_center = (rng.random((node_count, d)) - 0.5) / d
-    w_ctx = np.zeros((node_count, d))
-
     centers, contexts = extract_pairs(corpus, config.window)
     if centers.size == 0:
         raise ValueError("corpus yields no training pairs; walks too short?")
     negatives = CumulativeSampler.from_probabilities(noise_distribution(corpus, node_count))
-    k = config.negatives
-    lr0 = config.learning_rate
-    total_budget = centers.size * config.epochs
-    processed = 0
-    for _ in range(config.epochs):
-        perm = rng.permutation(centers.size)
-        for lo in range(0, perm.size, config.batch_size):
-            batch = perm[lo : lo + config.batch_size]
-            b = batch.size
-            lr = max(lr0 * (1.0 - processed / total_budget), lr0 * LR_FLOOR_FACTOR)
-            ctx_idx = np.empty((b, 1 + k), dtype=np.int64)
-            ctx_idx[:, 0] = np.take(contexts, batch)
-            ctx_idx[:, 1:] = negatives.draw(rng, (b, k))
-            sgns_step(w_center, w_ctx, np.take(centers, batch), ctx_idx, lr)
-            processed += b
+    rng = np.random.default_rng(config.seed)
+
+    def batches():
+        for _ in range(config.epochs):
+            perm = rng.permutation(centers.size)
+            for lo in range(0, perm.size, config.batch_size):
+                batch = perm[lo : lo + config.batch_size]
+                yield np.take(centers, batch), np.take(contexts, batch)
+
+    w_center, w_ctx = train_pairs(node_count, config.dim, batches(), centers.size * config.epochs,
+                                  negatives, config, rng)
     emb = EmbeddingMatrix(w_center, {"trainer": "sgns", **asdict(config)})
     return (emb, w_ctx) if return_context else emb

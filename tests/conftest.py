@@ -55,7 +55,6 @@ def er_graph(n: int, p: float, seed: int) -> Graph:
 @pytest.fixture
 def step_log(monkeypatch) -> list:
     """(center_idx, ctx_idx) of every sgns_step call SGNS or LINE makes."""
-    import motifemb.line
     import motifemb.sgns
 
     log = []
@@ -65,8 +64,7 @@ def step_log(monkeypatch) -> list:
         log.append((center_idx.copy(), ctx_idx.copy()))
         real_step(w_center, w_ctx, center_idx, ctx_idx, lr)
 
-    for module in (motifemb.sgns, motifemb.line):
-        monkeypatch.setattr(module, "sgns_step", recording_step)
+    monkeypatch.setattr(motifemb.sgns, "sgns_step", recording_step)
     return log
 
 

@@ -77,6 +77,11 @@ class TestRunConfig:
         assert RunConfig(seed=7).seed_list() == [7]
         assert RunConfig(seeds="0, 2,5").seed_list() == [0, 2, 5]
 
+    @pytest.mark.parametrize("seeds", [",", " , ", "0,1,0", "3,3"])
+    def test_seed_list_empty_or_repeated_rejected(self, seeds):
+        with pytest.raises(ValueError, match="seeds"):
+            RunConfig(seeds=seeds).seed_list()
+
     def test_algorithm_list(self):
         assert RunConfig().algorithm_list() == ALGORITHMS
         assert RunConfig(algorithm="line").algorithm_list() == ("line",)
@@ -265,6 +270,14 @@ class TestMotifs:
         assert lines[0] == "u,v,edge_motif_degree"
         assert lines[1:] == ["0,1,1", "0,2,1", "1,2,1"]
 
+    def test_csv_with_null_model_exits_two(self, k3_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["motifs", "--input", k3_file, "--format", "csv", "--null-model", "3",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--null-model" in err and "csv" in err
+        assert not out.exists()
+
     def test_null_model_block(self, k3_file, capsys):
         # degree-preserving rewiring cannot change a triangle, so the null
         # distribution collapses to the real count
@@ -371,6 +384,15 @@ class TestReports:
         assert payload["config"]["fraction"] == 0.2
         assert payload["config"]["algorithm"] == "spectral"
         assert len(payload["rows"]) == 6
+
+    @pytest.mark.parametrize("seeds", [",", "0,0"])
+    def test_empty_or_repeated_seeds_exit_two(self, er_file, seeds, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        args = self.linkpred_args(er_file, "json")
+        args[args.index("--seeds") + 1] = seeds
+        assert main(args + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: seeds")
+        assert not out.exists()
 
     def test_reruns_are_byte_identical(self, er_file, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -10,9 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-import motifemb.line
 import motifemb.sgns
-from motifemb import TrainConfig, generate_walks, train_line, train_sgns
+from motifemb import (
+    TrainConfig,
+    build_motif_adjacency,
+    count_triangles,
+    generate_walks,
+    train_line,
+    train_sgns,
+)
 from motifemb.graph import Graph
 from motifemb.sgns import (
     CumulativeSampler,
@@ -416,11 +422,48 @@ class TestReferenceStep:
 
         ours = train()
         with pytest.MonkeyPatch.context() as mp:
-            for module in (motifemb.sgns, motifemb.line):
-                mp.setattr(module, "sgns_step", reference_step)
+            mp.setattr(motifemb.sgns, "sgns_step", reference_step)
             theirs = train()
         assert calls
         assert ours == theirs
+
+
+class TestReferenceTrainers:
+    """SGNS and every LINE order, trained through the shared driver, must
+    give the same bytes as the separate reference loops of
+    sgns_reference.py: init, learning-rate schedule, draws and steps."""
+
+    @given(
+        trainer=st.sampled_from(["sgns", "first", "second", "concat"]),
+        weighted=st.booleans(),
+        batch_size=st.sampled_from([3, 16, 512]),
+        epochs=st.sampled_from([1, 2]),
+        n=st.integers(min_value=6, max_value=60),
+        negatives=st.integers(min_value=1, max_value=3),
+        learning_rate=st.sampled_from([0.025, 0.3]),
+        seed=st.integers(min_value=0, max_value=9999),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_trainers_match_reference_loops(
+        self, trainer, weighted, batch_size, epochs, n, negatives, learning_rate, seed
+    ):
+        g = er_graph(n, 4.0 / n, seed)
+        cfg = TrainConfig(
+            dim=4, walks_per_node=2, walk_length=6, window=2, negatives=negatives,
+            epochs=epochs, batch_size=batch_size, learning_rate=learning_rate,
+            line_samples_factor=3, seed=seed,
+            line_order="first" if trainer == "sgns" else trainer,
+        )
+        if trainer == "sgns":
+            corpus = generate_walks(g, None, cfg)
+            emb, ctx = train_sgns(corpus, cfg, n, return_context=True)
+            want_center, want_ctx = sgns_reference.train_sgns(corpus, cfg, n)
+            assert ctx.tobytes() == want_ctx.tobytes()
+            assert emb.vectors.tobytes() == want_center.tobytes()
+        else:
+            weights = build_motif_adjacency(g, count_triangles(g)) if weighted else None
+            want = sgns_reference.train_line(g, weights, cfg)
+            assert train_line(g, weights, cfg).vectors.tobytes() == want.tobytes()
 
 
 class TestTraining:
