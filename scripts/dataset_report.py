@@ -92,12 +92,10 @@ def main() -> int:
     for name, g in graphs.items():
         rows: list[dict] = []
         for task in tasks:
-            task_kwargs = ({"fraction": args.fraction} if task == "linkpred"
-                           else {"clusters": args.clusters})
             t0 = time.time()
             task_rows = run_report(g, name, task, algorithms=args.algorithms,
-                                   seeds=seeds, config=config, mode=args.mode,
-                                   **task_kwargs)
+                                   seeds=seeds, config=config, fraction=args.fraction,
+                                   mode=args.mode, clusters=args.clusters)
             rows.extend(task_rows)
             title = "AUC" if task == "linkpred" else "silhouette"
             print(f"== {name}: {title} over {args.seeds} seeds "

@@ -70,10 +70,8 @@ def main() -> int:
     tasks = ("linkpred", "cluster") if args.task == "both" else (args.task,)
     t0 = time.time()
     for task in tasks:
-        task_kwargs = ({"fraction": args.fraction} if task == "linkpred"
-                       else {"clusters": args.blocks})
         task_rows = run_report(g, "synthetic", task, seeds=seeds, config=config,
-                               mode=args.mode, **task_kwargs)
+                               fraction=args.fraction, mode=args.mode, clusters=args.blocks)
         rows.extend(task_rows)
         title = "link prediction AUC" if task == "linkpred" else "clustering silhouette"
         print(f"== {title} ==")

@@ -8,7 +8,8 @@ and, for Literal fields, restricted to the same choices. A config file holds
 flat key=value lines; explicit command-line flags override file values,
 which override defaults, and the merged values are validated once. Exit code
 0 on success, 2 on bad input (unparseable graph, unknown names or choices,
-an empty or repeating seed list, conflicting flags, missing files).
+an empty or repeating seed, algorithm or variant list, conflicting flags,
+missing files).
 """
 from __future__ import annotations
 
@@ -131,13 +132,17 @@ class RunConfig(TrainConfig):
 
 
 def _choose(value: str, allowed: tuple[str, ...], what: str) -> tuple[str, ...]:
-    """``allowed`` for "all", else the comma list, each entry in ``allowed``."""
+    """``allowed`` for "all", else the comma list, each entry in ``allowed``
+    and none repeated."""
     if value == "all":
         return allowed
     chosen = tuple(tok.strip() for tok in value.split(","))
     bad = [c for c in chosen if c not in allowed]
     if bad:
         raise ValueError(f"unknown {what}(s): {', '.join(bad)}")
+    repeated = sorted({c for c in chosen if chosen.count(c) > 1})
+    if repeated:
+        raise ValueError(f"{what}s repeat: {', '.join(repeated)}")
     return chosen
 
 
@@ -230,11 +235,6 @@ def cmd_embed(run: RunConfig) -> int:
 
 def _report_command(run: RunConfig, task: str) -> int:
     g, dataset = _load_graph(run)
-    kwargs = (
-        {"fraction": run.fraction, "threshold": run.threshold_value(), "mode": run.mode}
-        if task == "linkpred"
-        else {"clusters": run.clusters, "mode": run.mode}
-    )
     rows = run_report(
         g,
         dataset,
@@ -243,7 +243,10 @@ def _report_command(run: RunConfig, task: str) -> int:
         variants=run.variant_list(),
         seeds=run.seed_list(),
         config=run.train_config(),
-        **kwargs,
+        fraction=run.fraction,
+        mode=run.mode,
+        threshold=run.threshold_value(),
+        clusters=run.clusters,
     )
     if run.format == "csv":
         _emit(write_report_csv(rows), run)

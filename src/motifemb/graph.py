@@ -104,9 +104,6 @@ class Graph:
         pos = np.searchsorted(row, v)
         return pos < row.size and row[pos] == v
 
-    def edge_set(self) -> set[tuple[int, int]]:
-        return {(int(u), int(v)) for u, v in self.edges}
-
     def label_of(self, node: int) -> str:
         return self.labels[node] if self.labels is not None else str(node)
 

@@ -139,16 +139,11 @@ def linkpred_row(
     dataset: str,
     algorithm: str,
     variant: str,
-    config: TrainConfig,
+    emb: EmbeddingMatrix,
     threshold: float | None = None,
-    mode: str = "strict",
-    stats: MotifStats | None = None,
 ) -> dict:
-    """Embed the split's TRAIN graph with the split's seed, then score its
-    held-out edges against its sampled non-edges. ``stats``, if given, are
-    the train graph's triangle counts (see embed_graph)."""
-    emb = embed_graph(split.train_graph, algorithm, variant, config.with_seed(split.seed),
-                      mode, stats)
+    """Score ``emb``, an embedding of the split's TRAIN graph, on the
+    split's held-out edges against its sampled non-edges."""
     pos, z_pos = cosine_scores(emb, split.test_edges)
     neg, z_neg = cosine_scores(emb, split.test_non_edges)
     report = compute_metrics(pos, neg, threshold, z_pos + z_neg)
@@ -158,22 +153,14 @@ def linkpred_row(
 
 
 def cluster_row(
-    g: Graph,
+    emb: EmbeddingMatrix,
     dataset: str,
     algorithm: str,
     variant: str,
-    config: TrainConfig,
     seed: int,
     clusters: int = 2,
-    mode: str = "strict",
-    stats: MotifStats | None = None,
-    emb: EmbeddingMatrix | None = None,
 ) -> dict:
-    """Cluster an embedding of ``g`` with the row's seed and score the
-    silhouette. ``emb``, if given, is ``g``'s embedding for this algorithm
-    and variant; None embeds ``g`` here with the row's seed."""
-    if emb is None:
-        emb = embed_graph(g, algorithm, variant, config.with_seed(seed), mode, stats)
+    """Cluster ``emb`` with the row's seed and score the silhouette."""
     labels = kmeans_cluster(emb.vectors, clusters, seed)
     row = _blank_row(dataset, algorithm, variant, seed)
     row["sc"] = silhouette_score(emb.vectors, labels).score
@@ -190,37 +177,50 @@ def run_report(
     config: TrainConfig = TrainConfig(),
     fraction: float = 0.1,
     mode: str = "strict",
-    **task_kwargs,
+    threshold: float | None = None,
+    clusters: int = 2,
 ) -> list[dict]:
     """All (algorithm, variant, seed) rows for one task, sorted, plus one
     summary row per (algorithm, variant) when there are multiple seeds.
-    Every linkpred row of a seed scores against that seed's one split.
-    Triangles are counted once per graph embedded: once for a cluster
-    report, once per seed's train graph for linkpred, never without "mo".
-    A cluster report embeds its graph once per variant for a SEED_FREE
-    back-end and clusters that one embedding with every seed."""
+
+    Each distinct embedding is trained once: rows whose embeddings share a
+    graph and a key share one embed_graph call, and that embedding is held
+    only while those rows are scored. A cluster report embeds its one
+    graph; a linkpred report embeds each seed's train graph and scores it
+    against that seed's one split. Triangles are counted once per graph
+    embedded, never without "mo". ``threshold`` is read by linkpred rows,
+    ``clusters`` by cluster rows.
+    """
     if task not in ("linkpred", "cluster"):
         raise ValueError(f"unknown task {task!r}")
     needs_stats = "mo" in variants
-    stats = count_triangles(g) if needs_stats and task == "cluster" else None
-    shared: dict[tuple[str, str], EmbeddingMatrix] = {}
+    seeds = [int(s) for s in seeds]
     rows = []
-    for seed in map(int, seeds):
-        if task == "linkpred":
-            split = make_split(g, fraction, seed)
-            stats = count_triangles(split.train_graph) if needs_stats else None
-        for algorithm in algorithms:
-            for variant in variants:
-                if task == "linkpred":
-                    row = linkpred_row(split, dataset, algorithm, variant, config,
-                                       mode=mode, stats=stats, **task_kwargs)
+    # a cluster report embeds g for all its seeds; linkpred embeds each
+    # seed's train graph, splitting one seed at a time in seed order
+    for graph_seeds in [seeds] if task == "cluster" else [[seed] for seed in seeds]:
+        split = make_split(g, fraction, graph_seeds[0]) if task == "linkpred" else None
+        graph = g if split is None else split.train_graph
+        stats = count_triangles(graph) if needs_stats else None
+        # an embedding's key is what it depends on besides the graph:
+        # deepwalk reads no p or q, so node2vec at p = q = 1 walks deepwalk's
+        # law, and a SEED_FREE back-end reads no seed
+        groups: dict[tuple, list[tuple[str, int]]] = {}
+        for seed in graph_seeds:
+            for algorithm in algorithms:
+                unit_pq = algorithm == "node2vec" and config.p == config.q == 1
+                law = "deepwalk" if unit_pq else algorithm
+                for variant in variants:
+                    key = (law, variant, None if algorithm in SEED_FREE else seed)
+                    groups.setdefault(key, []).append((algorithm, seed))
+        for (law, variant, _), members in groups.items():
+            # the members share a seed unless the back-end reads none
+            emb = embed_graph(graph, law, variant, config.with_seed(members[0][1]), mode, stats)
+            for algorithm, seed in members:
+                if split is None:
+                    rows.append(cluster_row(emb, dataset, algorithm, variant, seed, clusters))
                 else:
-                    key = (algorithm, variant)
-                    if algorithm in SEED_FREE and key not in shared:
-                        shared[key] = embed_graph(g, algorithm, variant, config, mode, stats)
-                    row = cluster_row(g, dataset, algorithm, variant, config, seed, mode=mode,
-                                      stats=stats, emb=shared.get(key), **task_kwargs)
-                rows.append(row)
+                    rows.append(linkpred_row(split, dataset, algorithm, variant, emb, threshold))
     rows.sort(key=lambda r: (r["dataset"], r["algorithm"], r["variant"], r["seed"]))
     if len(seeds) > 1:
         rows.extend(summarize_rows(rows))

@@ -394,6 +394,20 @@ class TestReports:
         assert capsys.readouterr().err.startswith("error: seeds")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, names, what", [
+        ("--algorithm", "spectral,spectral", "algorithms"),
+        ("--variant", "mo,base,mo", "variants"),
+    ])
+    def test_repeated_algorithm_or_variant_exits_two(self, er_file, flag, names, what,
+                                                     tmp_path, capsys):
+        out = tmp_path / "report.json"
+        args = ["cluster", "--input", er_file, "--algorithm", "spectral", "--variant", "base",
+                "--seeds", "0,1", "--dim", "4", "--out", str(out)]
+        args[args.index(flag) + 1] = names
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith(f"error: {what} repeat")
+        assert not out.exists()
+
     def test_reruns_are_byte_identical(self, er_file, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = self.linkpred_args(er_file, "csv")

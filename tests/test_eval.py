@@ -94,7 +94,7 @@ def greedy_split(g: Graph, fraction: float, seed: int, protect_connectivity: boo
     gone = set(removed)
     kept = [e for e in map(tuple, g.edges.tolist()) if e not in gone]
 
-    forbidden = g.edge_set()
+    forbidden = set(map(tuple, g.edges.tolist()))
     if g.node_count * (g.node_count - 1) // 2 - m < len(removed):
         raise ValueError("graph too dense to sample matching non-edges")
     negatives = set()
@@ -142,8 +142,8 @@ class TestMakeSplit:
         if non_edges < target:
             return  # dense instance; rejection covered separately
         split = make_split(g, fraction, seed, protect_connectivity=False)
-        original = g.edge_set()
-        train = split.train_graph.edge_set()
+        original = set(map(tuple, g.edges.tolist()))
+        train = set(map(tuple, split.train_graph.edges.tolist()))
         held = {tuple(e) for e in map(tuple, split.test_edges)}
         negs = {tuple(e) for e in map(tuple, split.test_non_edges)}
         assert len(held) == target == split.test_edges.shape[0]

@@ -135,7 +135,7 @@ class TestCountTriangles:
     @settings(max_examples=30, deadline=None)
     def test_adding_edge_is_monotone(self, n, p, seed):
         g = er_graph(n, p, seed)
-        present = g.edge_set()
+        present = set(map(tuple, g.edges.tolist()))
         candidates = [
             (i, j)
             for i in range(n)

@@ -18,13 +18,13 @@ from motifemb import (
     planted_partition,
     run_report,
     write_report_csv,
-    train_spectral,
     write_report_json,
 )
 from motifemb import Graph, pipeline
 from motifemb.pipeline import (
     ALGORITHMS,
     LINKPRED_METRICS,
+    MODES,
     REPORT_COLUMNS,
     VARIANTS,
     cluster_row,
@@ -46,6 +46,23 @@ FAST = TrainConfig(
 @pytest.fixture(scope="module")
 def small_graph():
     return er_graph(18, 0.3, seed=1)
+
+
+def embed_then_score(g, task, algorithms, variants, seeds, config, fraction):
+    """run_report's rows, sorted, without summaries: every row embeds its
+    own graph with its own seed, and embed_graph counts the triangles."""
+    rows = []
+    for seed in seeds:
+        split = make_split(g, fraction, seed) if task == "linkpred" else None
+        graph = g if split is None else split.train_graph
+        for algorithm in algorithms:
+            for variant in variants:
+                emb = embed_graph(graph, algorithm, variant, config.with_seed(seed))
+                if split is None:
+                    rows.append(cluster_row(emb, "toy", algorithm, variant, seed))
+                else:
+                    rows.append(linkpred_row(split, "toy", algorithm, variant, emb))
+    return sorted(rows, key=lambda r: (r["algorithm"], r["variant"], r["seed"]))
 
 
 class TestTrainConfig:
@@ -139,6 +156,14 @@ class TestEmbedGraph:
         for emb in embs[1:]:
             assert np.array_equal(emb.vectors, embs[0].vectors)
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_node2vec_at_unit_pq_is_deepwalk(self, small_graph, variant, mode):
+        # run_report trains node2vec at p = q = 1 under deepwalk's key
+        deepwalk = embed_graph(small_graph, "deepwalk", variant, FAST.with_seed(4), mode)
+        node2vec = embed_graph(small_graph, "node2vec", variant, FAST.with_seed(4), mode)
+        assert deepwalk.vectors.tobytes() == node2vec.vectors.tobytes()
+
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_stats_of_another_graph_rejected(self, small_graph, algorithm):
         other = er_graph(18, 0.3, seed=2)
@@ -149,7 +174,8 @@ class TestEmbedGraph:
 class TestRows:
     def test_linkpred_row_shape(self, small_graph):
         split = make_split(small_graph, fraction=0.2, seed=0)
-        row = linkpred_row(split, "toy", "spectral", "base", FAST)
+        emb = embed_graph(split.train_graph, "spectral", "base", FAST)
+        row = linkpred_row(split, "toy", "spectral", "base", emb)
         assert set(row) == set(REPORT_COLUMNS)
         assert row["dataset"] == "toy" and row["seed"] == 0
         for metric in LINKPRED_METRICS:
@@ -157,7 +183,8 @@ class TestRows:
         assert row["sc"] == ""
 
     def test_cluster_row_shape(self, small_graph):
-        row = cluster_row(small_graph, "toy", "spectral", "base", FAST, seed=0)
+        emb = embed_graph(small_graph, "spectral", "base", FAST)
+        row = cluster_row(emb, "toy", "spectral", "base", seed=0)
         assert -1.0 <= row["sc"] <= 1.0
         for metric in LINKPRED_METRICS:
             assert row[metric] == ""
@@ -167,7 +194,8 @@ class TestRows:
             seed=0, nodes_per_block=20, blocks=3, triangles_per_block=15,
             er_intra_degree=3.0, inter_degree=1.0,
         )
-        row = cluster_row(g, "ppm", "spectral", "base", FAST, seed=0, clusters=3)
+        row = cluster_row(embed_graph(g, "spectral", "base", FAST), "ppm", "spectral", "base",
+                          seed=0, clusters=3)
         assert row["sc"] != ""
 
 
@@ -221,18 +249,7 @@ class TestRunReport:
                                           variants, calls):
         kw = dict(algorithms=("deepwalk", "spectral"), variants=variants, seeds=(0, 1),
                   config=FAST, fraction=0.2)
-        # the same rows, with embed_graph counting the triangles itself
-        expected = []
-        for seed in kw["seeds"]:
-            split = make_split(small_graph, kw["fraction"], seed) if task == "linkpred" else None
-            for algorithm in kw["algorithms"]:
-                for variant in variants:
-                    if split is not None:
-                        expected.append(linkpred_row(split, "toy", algorithm, variant, FAST))
-                    else:
-                        expected.append(cluster_row(small_graph, "toy", algorithm, variant,
-                                                    FAST, seed))
-        expected.sort(key=lambda r: (r["algorithm"], r["variant"], r["seed"]))
+        expected = embed_then_score(small_graph, task, **kw)
         counted = []
 
         def recording_count(g):
@@ -244,21 +261,30 @@ class TestRunReport:
         assert len(counted) == calls
         assert rows[:len(expected)] == expected
 
-    def test_one_spectral_embedding_per_variant(self, small_graph, monkeypatch):
+    @pytest.mark.parametrize("task", ["linkpred", "cluster"])
+    @pytest.mark.parametrize("q, walk_laws", [(1.0, 1), (0.5, 2)])
+    def test_one_training_per_distinct_embedding(self, small_graph, monkeypatch, task, q,
+                                                 walk_laws):
+        # node2vec at p = q = 1 shares deepwalk's embedding; spectral reads no
+        # seed, so a cluster report shares one embedding per variant
         seeds = (0, 1, 2)
-        expected = sorted((cluster_row(small_graph, "toy", "spectral", variant, FAST, seed)
-                           for seed in seeds for variant in VARIANTS),
-                          key=lambda r: (r["variant"], r["seed"]))
+        kw = dict(algorithms=("deepwalk", "node2vec", "spectral"), variants=VARIANTS,
+                  seeds=seeds, config=dataclasses.replace(FAST, q=q), fraction=0.2)
+        expected = embed_then_score(small_graph, task, **kw)
         trained = []
 
-        def recording_spectral(g, weights, dim):
-            trained.append(weights)
-            return train_spectral(g, weights, dim)
+        def recording(name, train):
+            def record(*args):
+                trained.append(name)
+                return train(*args)
+            monkeypatch.setattr(pipeline, name, record)
 
-        monkeypatch.setattr(pipeline, "train_spectral", recording_spectral)
-        rows = run_report(small_graph, "toy", "cluster", algorithms=("spectral",),
-                          variants=VARIANTS, seeds=seeds, config=FAST)
-        assert len(trained) == 2
+        recording("train_sgns", pipeline.train_sgns)
+        recording("train_spectral", pipeline.train_spectral)
+        rows = run_report(small_graph, "toy", task, **kw)
+        assert trained.count("train_sgns") == walk_laws * len(VARIANTS) * len(seeds)
+        spectral_graphs = 1 if task == "cluster" else len(seeds)
+        assert trained.count("train_spectral") == len(VARIANTS) * spectral_graphs
         assert rows[:len(expected)] == expected
 
     def test_unknown_task_rejected(self, small_graph):
