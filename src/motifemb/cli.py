@@ -69,6 +69,8 @@ class RunConfig(TrainConfig):
         super().__post_init__()
         if self.null_model < 0:
             raise ValueError("null_model must be >= 0")
+        if self.clusters < 2:
+            raise ValueError("clusters must be >= 2")
 
     @classmethod
     def read_file(cls, path) -> dict:
@@ -251,7 +253,11 @@ def _report_command(run: RunConfig, task: str) -> int:
     if run.format == "csv":
         _emit(write_report_csv(rows), run)
     else:
-        _emit(write_report_json(rows, dataclasses.asdict(run)), run)
+        # where the report goes is not part of the run, so one run written
+        # to two paths gives the same bytes
+        config = dataclasses.asdict(run)
+        del config["out"]
+        _emit(write_report_json(rows, config), run)
     return 0
 
 

@@ -268,45 +268,65 @@ class SilhouetteReport:
 _SILHOUETTE_BLOCK_FLOATS = 1 << 22  # distances held at once: 32 MB of float64
 
 
-def silhouette_score(x: np.ndarray, labels: np.ndarray) -> SilhouetteReport:
+def silhouette_score(
+    x: np.ndarray, labels: np.ndarray
+) -> SilhouetteReport | list[SilhouetteReport]:
     """s(i) = (b - a) / max(a, b) with Euclidean distances; a is the mean
     distance to the rest of i's cluster, b the smallest mean distance to
     any other cluster. Points in singleton clusters, and points with
     max(a, b) = 0, get s = 0.
 
-    Distances are taken in row blocks of max(1, 2**22 // n) rows against
-    all n points, so at most max(2**22, n) of them (32 MB up to 4M points)
-    are held at once instead of the n x n matrix.
+    ``labels`` is one label per row of ``x`` (returns a SilhouetteReport)
+    or a stacked (L, n) array of L labelings of those rows (returns a list
+    of L reports). Every labeling is scored from one sweep over the
+    distances: blocks of max(1, 2**22 // n) columns of the n x n matrix,
+    so at most max(2**22, n) distances (32 MB up to 4M points) are held at
+    once. One sparse (clusters x n) membership product turns each block
+    into every cluster's distance sums, each summed over its members in
+    ascending index order, so a labeling's values do not depend on the
+    block size or on the labelings stacked with it.
     """
     x = np.asarray(x, dtype=np.float64)
     labels = np.asarray(labels)
-    if x.ndim != 2 or labels.shape != x.shape[:1]:
-        raise ValueError(f"need 2-D x and 1-D labels with one label per row of x; "
-                         f"got x of shape {x.shape} and labels of shape {labels.shape}")
+    if (x.ndim != 2 or labels.ndim not in (1, 2) or labels.shape[-1:] != x.shape[:1]
+            or labels.size == 0):
+        raise ValueError(f"need 2-D x and one label per row of x, as a 1-D array or a "
+                         f"nonempty (L, n) stack; got x of shape {x.shape} and labels "
+                         f"of shape {labels.shape}")
+    if np.any(labels != labels):  # NaN is the one label unequal to itself
+        raise ValueError("labels hold NaN")
+    stack = np.atleast_2d(labels)
     n = x.shape[0]
-    # sorted by label, each cluster is one contiguous column range whose
-    # members keep their ascending original order
-    order = np.argsort(labels, kind="stable")
-    sorted_labels = labels[order]
-    starts = np.flatnonzero(np.r_[True, sorted_labels[1:] != sorted_labels[:-1]])
-    if starts.size < 2:
-        raise ValueError("silhouette needs at least two clusters")
-    sizes = np.diff(np.r_[starts, n])
-    cluster_of = np.repeat(np.arange(starts.size), sizes)
-    xs = x[order]
+    # one membership row per cluster of each labeling: own[l, i] is the row
+    # of i's cluster under labeling l, and labeling l owns rows first[l]:first[l+1]
+    own = np.empty(stack.shape, dtype=np.int64)
+    sizes, first = [], [0]
+    for l, row in enumerate(stack):
+        _, inverse, counts = np.unique(row, return_inverse=True, return_counts=True)
+        if counts.size < 2:
+            raise ValueError("silhouette needs at least two clusters")
+        own[l] = first[-1] + inverse
+        sizes.append(counts)
+        first.append(first[-1] + counts.size)
+    sizes = np.concatenate(sizes)
+    # a stable sort stores each cluster's members in ascending index order,
+    # and the CSR x dense product sums every row in stored order
+    members = np.argsort(own, axis=None, kind="stable") % n
+    membership = sp.csr_array((np.ones(members.size), members, np.r_[0, np.cumsum(sizes)]),
+                              shape=(sizes.size, n))
     step = max(1, _SILHOUETTE_BLOCK_FLOATS // n)
-    by_label = np.zeros(n)
+    values = np.zeros(stack.shape)
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        own = cluster_of[lo:hi]
-        at_own = (np.arange(hi - lo), own)
-        sums = np.add.reduceat(cdist(xs[lo:hi], xs), starts, axis=1)
-        a = sums[at_own] / np.maximum(sizes[own] - 1, 1)
-        means = sums / sizes
+        own_block = own[:, lo:hi]
+        at_own = (own_block, np.arange(hi - lo))
+        sums = membership @ cdist(x, x[lo:hi])  # (clusters, block) distance sums
+        a = sums[at_own] / np.maximum(sizes[own_block] - 1, 1)
+        means = sums / sizes[:, None]
         means[at_own] = np.inf
-        b = means.min(axis=1)
+        b = np.minimum.reduceat(means, first[:-1], axis=0)
         denom = np.maximum(a, b)
-        np.divide(b - a, denom, out=by_label[lo:hi], where=(sizes[own] > 1) & (denom > 0))
-    values = np.empty(n)
-    values[order] = by_label
-    return SilhouetteReport(values, float(values.mean()))
+        np.divide(b - a, denom, out=values[:, lo:hi],
+                  where=(sizes[own_block] > 1) & (denom > 0))
+    reports = [SilhouetteReport(v, float(v.mean())) for v in values]
+    return reports if labels.ndim == 2 else reports[0]

@@ -157,14 +157,19 @@ def cluster_row(
     dataset: str,
     algorithm: str,
     variant: str,
-    seed: int,
+    seeds,
     clusters: int = 2,
-) -> dict:
-    """Cluster ``emb`` with the row's seed and score the silhouette."""
-    labels = kmeans_cluster(emb.vectors, clusters, seed)
-    row = _blank_row(dataset, algorithm, variant, seed)
-    row["sc"] = silhouette_score(emb.vectors, labels).score
-    return row
+) -> list[dict]:
+    """One row per seed: cluster ``emb`` with each seed, then score all
+    the labelings in one silhouette sweep over ``emb``'s distances."""
+    seeds = list(seeds)
+    labels = np.stack([kmeans_cluster(emb.vectors, clusters, seed) for seed in seeds])
+    rows = []
+    for seed, report in zip(seeds, silhouette_score(emb.vectors, labels)):
+        row = _blank_row(dataset, algorithm, variant, seed)
+        row["sc"] = report.score
+        rows.append(row)
+    return rows
 
 
 def run_report(
@@ -186,13 +191,17 @@ def run_report(
     Each distinct embedding is trained once: rows whose embeddings share a
     graph and a key share one embed_graph call, and that embedding is held
     only while those rows are scored. A cluster report embeds its one
-    graph; a linkpred report embeds each seed's train graph and scores it
-    against that seed's one split. Triangles are counted once per graph
-    embedded, never without "mo". ``threshold`` is read by linkpred rows,
-    ``clusters`` by cluster rows.
+    graph and scores each embedding's seeds with one cluster_row call per
+    algorithm, so one silhouette sweep per embedding; a linkpred report
+    embeds each seed's train graph and scores it against that seed's one
+    split. Triangles are counted once per graph embedded, never without
+    "mo". ``threshold`` is read by linkpred rows, ``clusters`` by cluster
+    rows; ``clusters`` < 2 raises ValueError before anything is embedded.
     """
     if task not in ("linkpred", "cluster"):
         raise ValueError(f"unknown task {task!r}")
+    if task == "cluster" and clusters < 2:
+        raise ValueError(f"clusters must be >= 2, got {clusters}")
     needs_stats = "mo" in variants
     seeds = [int(s) for s in seeds]
     rows = []
@@ -205,20 +214,22 @@ def run_report(
         # an embedding's key is what it depends on besides the graph:
         # deepwalk reads no p or q, so node2vec at p = q = 1 walks deepwalk's
         # law, and a SEED_FREE back-end reads no seed
-        groups: dict[tuple, list[tuple[str, int]]] = {}
+        groups: dict[tuple, dict[str, list[int]]] = {}
         for seed in graph_seeds:
             for algorithm in algorithms:
                 unit_pq = algorithm == "node2vec" and config.p == config.q == 1
                 law = "deepwalk" if unit_pq else algorithm
                 for variant in variants:
                     key = (law, variant, None if algorithm in SEED_FREE else seed)
-                    groups.setdefault(key, []).append((algorithm, seed))
+                    groups.setdefault(key, {}).setdefault(algorithm, []).append(seed)
         for (law, variant, _), members in groups.items():
             # the members share a seed unless the back-end reads none
-            emb = embed_graph(graph, law, variant, config.with_seed(members[0][1]), mode, stats)
-            for algorithm, seed in members:
+            first_seed = next(iter(members.values()))[0]
+            emb = embed_graph(graph, law, variant, config.with_seed(first_seed), mode, stats)
+            for algorithm, member_seeds in members.items():
                 if split is None:
-                    rows.append(cluster_row(emb, dataset, algorithm, variant, seed, clusters))
+                    rows.extend(cluster_row(emb, dataset, algorithm, variant, member_seeds,
+                                            clusters))
                 else:
                     rows.append(linkpred_row(split, dataset, algorithm, variant, emb, threshold))
     rows.sort(key=lambda r: (r["dataset"], r["algorithm"], r["variant"], r["seed"]))

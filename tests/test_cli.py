@@ -415,6 +415,24 @@ class TestReports:
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_json_report_does_not_depend_on_out_path(self, er_file, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        args = ["cluster", "--input", er_file, "--algorithm", "spectral", "--seeds", "0,1",
+                "--dim", "4"]
+        assert main(args + ["--out", str(a)]) == 0
+        assert main(args + ["--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert "out" not in json.loads(a.read_text())["config"]
+
+    def test_fewer_than_two_clusters_exits_two(self, er_file, tmp_path, capsys, monkeypatch):
+        trained = []
+        monkeypatch.setattr(cli, "run_report", lambda *a, **kw: trained.append(a))
+        out = tmp_path / "report.json"
+        assert main(["cluster", "--input", er_file, "--clusters", "1", "--dim", "4",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: clusters must be >= 2")
+        assert not trained and not out.exists()
+
     def test_cluster_report(self, er_file, capsys):
         assert main(
             ["cluster", "--input", er_file, "--algorithm", "spectral",

@@ -467,12 +467,23 @@ class TestSilhouette:
         ((4, 2), [[0, 1], [0, 1]]),
         ((4, 2), [[0], [0], [1], [1]]),
         ((4,), [0, 0, 1, 1]),
+        ((4, 2), np.zeros((0, 4), dtype=int)),  # an empty stack
+        ((4, 2), [[[0, 0, 1, 1]]]),  # a stack that is not 2-D
+        ((4, 2), [[0, 0, 1], [0, 1, 1]]),  # a stack narrower than x
     ])
     def test_malformed_shapes_rejected(self, x_shape, labels):
         x, labels = np.zeros(x_shape), np.array(labels)
         both = re.escape(str(x.shape)) + ".*" + re.escape(str(labels.shape))
         with pytest.raises(ValueError, match=both):
             silhouette_score(x, labels)
+
+    @pytest.mark.parametrize("labels", [
+        [0.0, 0.0, 1.0, np.nan],
+        [[0.0, 0.0, 1.0, 1.0], [0.0, np.nan, 1.0, 1.0]],
+    ])
+    def test_nan_labels_rejected(self, labels):
+        with pytest.raises(ValueError, match="NaN"):
+            silhouette_score(np.arange(8.0).reshape(4, 2), np.array(labels))
 
     @given(
         seed=st.integers(min_value=0, max_value=99_999),
@@ -509,3 +520,45 @@ class TestSilhouette:
             assert rep.score == pytest.approx(float(np.mean(expected)), abs=1e-9)
             assert np.all(rep.values >= -1 - 1e-12) and np.all(rep.values <= 1 + 1e-12)
             assert rep.score == pytest.approx(float(rep.values.mean()), abs=1e-15)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=99_999),
+        n=st.integers(min_value=4, max_value=40),
+        ks=st.lists(st.integers(min_value=2, max_value=5), min_size=1, max_size=4),
+        singletons=st.integers(min_value=0, max_value=2),
+        duplicates=st.booleans(),
+    )
+    @example(seed=0, n=4, ks=[2, 4, 3, 2], singletons=2, duplicates=True)
+    @settings(max_examples=60, deadline=None)
+    def test_stacked_labelings(self, seed, n, ks, singletons, duplicates):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n + singletons, 3))
+        if duplicates:
+            x[rng.integers(0, n, size=n // 2)] = x[rng.integers(0, n, size=n // 2)]
+        stack = []
+        for k in ks:  # each labeling has its own k, singletons and id scatter
+            k = min(k, n)
+            labels = np.concatenate(
+                [np.arange(k), rng.integers(0, k, size=n - k), k + np.arange(singletons)]
+            )
+            rng.shuffle(labels)
+            stack.append((rng.permutation(k + singletons) * 7 - 3)[labels])
+        stack = np.array(stack)
+        perm = rng.permutation(len(stack))
+        m = x.shape[0]
+        expected = [brute_silhouette_values(x, labels) for labels in stack]
+        one_block = silhouette_score(x, stack)
+        for budget in (evaluation._SILHOUETTE_BLOCK_FLOATS, 1, 3 * m, m * (m - 1)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(evaluation, "_SILHOUETTE_BLOCK_FLOATS", budget)
+                reps = silhouette_score(x, stack)
+                alone = [silhouette_score(x, labels) for labels in stack]
+                permuted = silhouette_score(x, stack[perm])
+            assert len(reps) == len(stack)
+            for i, rep in enumerate(reps):
+                assert np.allclose(rep.values, expected[i], rtol=0, atol=1e-9)
+                assert rep.values.tobytes() == alone[i].values.tobytes()
+                assert rep.values.tobytes() == one_block[i].values.tobytes()
+                assert rep.score == alone[i].score
+                at = int(np.flatnonzero(perm == i)[0])
+                assert rep.values.tobytes() == permuted[at].values.tobytes()

@@ -17,6 +17,7 @@ from motifemb import (
     make_split,
     planted_partition,
     run_report,
+    silhouette_score,
     write_report_csv,
     write_report_json,
 )
@@ -59,7 +60,7 @@ def embed_then_score(g, task, algorithms, variants, seeds, config, fraction):
             for variant in variants:
                 emb = embed_graph(graph, algorithm, variant, config.with_seed(seed))
                 if split is None:
-                    rows.append(cluster_row(emb, "toy", algorithm, variant, seed))
+                    rows.extend(cluster_row(emb, "toy", algorithm, variant, [seed]))
                 else:
                     rows.append(linkpred_row(split, "toy", algorithm, variant, emb))
     return sorted(rows, key=lambda r: (r["algorithm"], r["variant"], r["seed"]))
@@ -184,7 +185,7 @@ class TestRows:
 
     def test_cluster_row_shape(self, small_graph):
         emb = embed_graph(small_graph, "spectral", "base", FAST)
-        row = cluster_row(emb, "toy", "spectral", "base", seed=0)
+        [row] = cluster_row(emb, "toy", "spectral", "base", seeds=[0])
         assert -1.0 <= row["sc"] <= 1.0
         for metric in LINKPRED_METRICS:
             assert row[metric] == ""
@@ -194,8 +195,8 @@ class TestRows:
             seed=0, nodes_per_block=20, blocks=3, triangles_per_block=15,
             er_intra_degree=3.0, inter_degree=1.0,
         )
-        row = cluster_row(embed_graph(g, "spectral", "base", FAST), "ppm", "spectral", "base",
-                          seed=0, clusters=3)
+        [row] = cluster_row(embed_graph(g, "spectral", "base", FAST), "ppm", "spectral", "base",
+                            seeds=[0], clusters=3)
         assert row["sc"] != ""
 
 
@@ -286,6 +287,31 @@ class TestRunReport:
         spectral_graphs = 1 if task == "cluster" else len(seeds)
         assert trained.count("train_spectral") == len(VARIANTS) * spectral_graphs
         assert rows[:len(expected)] == expected
+
+    def test_one_silhouette_sweep_per_embedding(self, small_graph, monkeypatch):
+        seeds = (0, 1, 2)
+        kw = dict(algorithms=("spectral",), variants=VARIANTS, seeds=seeds, config=FAST,
+                  fraction=0.2)
+        expected = embed_then_score(small_graph, "cluster", **kw)
+        stacks = []
+
+        def recording(x, labels):
+            stacks.append(np.shape(labels))
+            return silhouette_score(x, labels)
+
+        monkeypatch.setattr(pipeline, "silhouette_score", recording)
+        rows = run_report(small_graph, "toy", "cluster", **kw)
+        assert stacks == [(len(seeds), small_graph.node_count)] * len(VARIANTS)
+        assert rows[:len(expected)] == expected
+
+    def test_fewer_than_two_clusters_rejected_before_embedding(self, small_graph,
+                                                               monkeypatch):
+        embedded = []
+        monkeypatch.setattr(pipeline, "embed_graph", lambda *a: embedded.append(a))
+        with pytest.raises(ValueError, match="clusters must be >= 2"):
+            run_report(small_graph, "toy", "cluster", algorithms=("spectral",), config=FAST,
+                       clusters=1)
+        assert not embedded
 
     def test_unknown_task_rejected(self, small_graph):
         with pytest.raises(ValueError):
