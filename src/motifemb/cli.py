@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,7 +28,9 @@ from .motifs import MotifMode, count_triangles
 from .pipeline import (
     ALGORITHMS,
     VARIANTS,
+    csv_text,
     embed_graph,
+    json_text,
     run_report,
     write_report_csv,
     write_report_json,
@@ -166,20 +167,12 @@ def _emit(text: str, run: RunConfig) -> None:
         sys.stdout.write(text)
 
 
-def _dict_csv(d: dict) -> str:
-    head = ",".join(d.keys())
-    row = ",".join(repr(v) if isinstance(v, float) else str(v) for v in d.values())
-    return f"{head}\n{row}\n"
-
-
 def cmd_stats(run: RunConfig) -> int:
     """graph summary statistics"""
     g, _ = _load_graph(run)
     stats = dataclasses.asdict(graph_stats(g))
-    if run.format == "csv":
-        _emit(_dict_csv(stats), run)
-    else:
-        _emit(json.dumps(stats, indent=2, sort_keys=True) + "\n", run)
+    text = csv_text(stats.keys(), [stats.values()]) if run.format == "csv" else json_text(stats)
+    _emit(text, run)
     return 0
 
 
@@ -191,8 +184,7 @@ def cmd_motifs(run: RunConfig) -> int:
     stats = count_triangles(g)
     rows = [[u, v, c] for (u, v), c in zip(g.edges.tolist(), stats.edge_values.tolist())]
     if run.format == "csv":
-        lines = ["u,v,edge_motif_degree"] + [f"{u},{v},{c}" for u, v, c in rows]
-        _emit("\n".join(lines) + "\n", run)
+        _emit(csv_text(("u", "v", "edge_motif_degree"), rows), run)
         return 0
     payload: dict = {
         "total_motifs": stats.total_motifs,
@@ -212,7 +204,7 @@ def cmd_motifs(run: RunConfig) -> int:
             "std": float(arr.std()),
             "real_total": stats.total_motifs,
         }
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", run)
+    _emit(json_text(payload), run)
     return 0
 
 

@@ -203,6 +203,10 @@ def compute_metrics(
     )
 
 
+KMEANS_MAX_ITER = 300  # Lloyd iterations at most
+KMEANS_TOL = 1e-6  # stop once no center moves this far
+
+
 def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = x.shape[0]
     centers = np.empty((k, x.shape[1]))
@@ -218,13 +222,7 @@ def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     return centers
 
 
-def kmeans_cluster(
-    x: np.ndarray,
-    k: int,
-    seed: int = 0,
-    max_iter: int = 300,
-    tol: float = 1e-6,
-) -> np.ndarray:
+def kmeans_cluster(x: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     """Lloyd iterations from a k-means++ start; returns integer labels.
 
     An emptied cluster is re-seeded at the point farthest from its assigned
@@ -238,7 +236,7 @@ def kmeans_cluster(
     rng = np.random.default_rng(seed)
     centers = _kmeanspp_init(x, k, rng)
     labels = np.zeros(n, dtype=np.int64)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         d2 = cdist(x, centers, "sqeuclidean")
         labels = d2.argmin(axis=1)
         new_centers = centers.copy()
@@ -254,7 +252,7 @@ def kmeans_cluster(
                 labels[worst] = j
         shift = float(np.linalg.norm(new_centers - centers, axis=1).max())
         centers = new_centers
-        if shift < tol:
+        if shift < KMEANS_TOL:
             break
     return labels
 

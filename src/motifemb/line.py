@@ -2,10 +2,10 @@
 
 Edges are drawn with probability proportional to their weight (all ones for
 the unweighted variant), a direction is flipped uniformly, and the endpoint
-pair is trained against weighted-degree^0.75 negatives. "first" shares one
-matrix for both roles, "second" keeps separate center/context matrices and
-returns the centers, "concat" trains an independent half-dimension model of
-each order and concatenates.
+pair is trained against weighted-degree^NOISE_POWER negatives, SGNS's
+exponent. "first" shares one matrix for both roles, "second" keeps separate
+center/context matrices and returns the centers, "concat" trains an
+independent half-dimension model of each order and concatenates.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from .config import TrainConfig
 from .embedding import EmbeddingMatrix
 from .graph import Graph
 from .motifs import WeightedAdjacency, unit_adjacency
-from .sgns import CumulativeSampler, train_pairs
+from .sgns import NOISE_POWER, CumulativeSampler, train_pairs
 
 __all__ = ["edge_sampling_tables", "train_line"]
 
@@ -30,7 +30,7 @@ def edge_sampling_tables(g: Graph, weights: WeightedAdjacency):
     edge_cum = np.cumsum(w / w.sum())
     # endpoint 0 of every edge, then endpoint 1: each node's sum in edge order
     wdeg = np.bincount(g.edges.T.ravel(), weights=np.tile(w, 2), minlength=g.node_count)
-    noise = wdeg**0.75
+    noise = wdeg**NOISE_POWER
     noise /= noise.sum()
     return edge_cum, noise
 

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 from dataclasses import asdict
+from itertools import product
 from pathlib import Path
 from typing import get_args
 
@@ -188,20 +189,28 @@ def run_report(
     """All (algorithm, variant, seed) rows for one task, sorted, plus one
     summary row per (algorithm, variant) when there are multiple seeds.
 
-    Each distinct embedding is trained once: rows whose embeddings share a
-    graph and a key share one embed_graph call, and that embedding is held
-    only while those rows are scored. A cluster report embeds its one
-    graph and scores each embedding's seeds with one cluster_row call per
-    algorithm, so one silhouette sweep per embedding; a linkpred report
-    embeds each seed's train graph and scores it against that seed's one
-    split. Triangles are counted once per graph embedded, never without
-    "mo". ``threshold`` is read by linkpred rows, ``clusters`` by cluster
-    rows; ``clusters`` < 2 raises ValueError before anything is embedded.
+    Each distinct embedding is trained once, scored once, and held only
+    while it is scored. It depends on its graph, walk law, variant and
+    seed. A walk law is the walk an algorithm runs: node2vec at p = q = 1
+    walks deepwalk's, and its rows copy deepwalk's but for ``algorithm``.
+    A SEED_FREE law embeds once per variant for all of a graph's seeds. A
+    cluster report embeds its one graph, so each embedding's seeds share
+    one cluster_row call; a linkpred report embeds each seed's train graph
+    and scores it with one linkpred_row call against that seed's split.
+    Triangles are counted once per graph embedded, never without "mo".
+    ``threshold`` is read by linkpred rows, ``clusters`` by cluster rows;
+    ``clusters`` outside [2, node count] raises ValueError before anything
+    is embedded.
     """
     if task not in ("linkpred", "cluster"):
         raise ValueError(f"unknown task {task!r}")
-    if task == "cluster" and clusters < 2:
-        raise ValueError(f"clusters must be >= 2, got {clusters}")
+    if task == "cluster" and not 2 <= clusters <= g.node_count:
+        raise ValueError(f"clusters must be >= 2 and <= the node count {g.node_count}, "
+                         f"got {clusters}")
+    laws: dict[str, list[str]] = {}  # walk law -> the algorithms that run it
+    for algorithm in algorithms:
+        unit_pq = algorithm == "node2vec" and config.p == config.q == 1
+        laws.setdefault("deepwalk" if unit_pq else algorithm, []).append(algorithm)
     needs_stats = "mo" in variants
     seeds = [int(s) for s in seeds]
     rows = []
@@ -211,27 +220,15 @@ def run_report(
         split = make_split(g, fraction, graph_seeds[0]) if task == "linkpred" else None
         graph = g if split is None else split.train_graph
         stats = count_triangles(graph) if needs_stats else None
-        # an embedding's key is what it depends on besides the graph:
-        # deepwalk reads no p or q, so node2vec at p = q = 1 walks deepwalk's
-        # law, and a SEED_FREE back-end reads no seed
-        groups: dict[tuple, dict[str, list[int]]] = {}
-        for seed in graph_seeds:
-            for algorithm in algorithms:
-                unit_pq = algorithm == "node2vec" and config.p == config.q == 1
-                law = "deepwalk" if unit_pq else algorithm
-                for variant in variants:
-                    key = (law, variant, None if algorithm in SEED_FREE else seed)
-                    groups.setdefault(key, {}).setdefault(algorithm, []).append(seed)
-        for (law, variant, _), members in groups.items():
-            # the members share a seed unless the back-end reads none
-            first_seed = next(iter(members.values()))[0]
-            emb = embed_graph(graph, law, variant, config.with_seed(first_seed), mode, stats)
-            for algorithm, member_seeds in members.items():
+        for law, names in laws.items():
+            groups = [graph_seeds] if law in SEED_FREE else [[seed] for seed in graph_seeds]
+            for variant, group in product(variants, groups):
+                emb = embed_graph(graph, law, variant, config.with_seed(group[0]), mode, stats)
                 if split is None:
-                    rows.extend(cluster_row(emb, dataset, algorithm, variant, member_seeds,
-                                            clusters))
+                    scored = cluster_row(emb, dataset, names[0], variant, group, clusters)
                 else:
-                    rows.append(linkpred_row(split, dataset, algorithm, variant, emb, threshold))
+                    scored = [linkpred_row(split, dataset, names[0], variant, emb, threshold)]
+                rows.extend(dict(row, algorithm=name) for name in names for row in scored)
     rows.sort(key=lambda r: (r["dataset"], r["algorithm"], r["variant"], r["seed"]))
     if len(seeds) > 1:
         rows.extend(summarize_rows(rows))
@@ -279,23 +276,28 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def write_report_csv(rows: list[dict], path=None) -> str:
+def csv_text(header, rows) -> str:
+    """A header line, then one line per row of cells; float cells are
+    written as their repr, so they parse back to the same float."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(REPORT_COLUMNS)
-    for row in rows:
-        writer.writerow([_format_cell(row[c]) for c in REPORT_COLUMNS])
-    text = buf.getvalue()
+    writer.writerow(header)
+    writer.writerows([_format_cell(cell) for cell in row] for row in rows)
+    return buf.getvalue()
+
+
+def json_text(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def write_report_csv(rows: list[dict], path=None) -> str:
+    text = csv_text(REPORT_COLUMNS, ([row[c] for c in REPORT_COLUMNS] for row in rows))
     if path is not None:
         Path(path).write_text(text)
     return text
 
 
-def write_report_json(rows: list[dict], run_config: dict, path=None) -> str:
+def write_report_json(rows: list[dict], run_config: dict) -> str:
     """Rows plus the full run configuration, so any report regenerates
     bit-identically from its own metadata."""
-    payload = {"config": run_config, "rows": rows}
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if path is not None:
-        Path(path).write_text(text)
-    return text
+    return json_text({"config": run_config, "rows": rows})

@@ -46,6 +46,9 @@ __all__ = [
 ]
 
 LR_FLOOR_FACTOR = 1e-4
+# negatives are drawn in proportion to count^NOISE_POWER: corpus token
+# counts for SGNS, weighted degrees for LINE
+NOISE_POWER = 0.75
 
 
 def sigmoid(x):
@@ -95,12 +98,12 @@ def extract_pairs(corpus: WalkCorpus, window: int) -> tuple[np.ndarray, np.ndarr
     return corpus.tokens[:, center_at][kept], corpus.tokens[:, context_at][kept]
 
 
-def noise_distribution(corpus: WalkCorpus, node_count: int, power: float = 0.75) -> np.ndarray:
-    """Unigram^power negative-sampling distribution over corpus tokens."""
+def noise_distribution(corpus: WalkCorpus, node_count: int) -> np.ndarray:
+    """Unigram^NOISE_POWER negative-sampling distribution over corpus tokens."""
     counts = np.bincount(corpus.tokens[corpus.tokens >= 0], minlength=node_count)
     if counts.size > node_count:
         raise IndexError(f"corpus holds node {counts.size - 1} but node_count is {node_count}")
-    weights = counts.astype(np.float64) ** power
+    weights = counts.astype(np.float64) ** NOISE_POWER
     total = weights.sum()
     if total <= 0:
         raise ValueError("empty corpus: no tokens to build a noise distribution from")

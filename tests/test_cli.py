@@ -20,7 +20,7 @@ from motifemb import (
     load_embedding_text,
     write_edge_list,
 )
-from motifemb import cli
+from motifemb import cli, pipeline
 from motifemb.cli import RunConfig, main
 from motifemb.config import field_types
 from motifemb.pipeline import ALGORITHMS, REPORT_COLUMNS
@@ -432,6 +432,16 @@ class TestReports:
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: clusters must be >= 2")
         assert not trained and not out.exists()
+
+    def test_more_clusters_than_nodes_exits_two(self, er_file, tmp_path, capsys,
+                                                monkeypatch):
+        embedded = []
+        monkeypatch.setattr(pipeline, "embed_graph", lambda *a: embedded.append(a))
+        out = tmp_path / "report.json"
+        assert main(["cluster", "--input", er_file, "--clusters", "500", "--dim", "4",
+                     "--out", str(out)]) == 2
+        assert "<= the node count" in capsys.readouterr().err
+        assert not embedded and not out.exists()
 
     def test_cluster_report(self, er_file, capsys):
         assert main(

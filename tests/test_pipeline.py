@@ -304,6 +304,48 @@ class TestRunReport:
         assert stacks == [(len(seeds), small_graph.node_count)] * len(VARIANTS)
         assert rows[:len(expected)] == expected
 
+    @pytest.mark.parametrize("q, walk_laws", [(1.0, 1), (0.5, 2)])
+    def test_one_score_per_walk_law(self, small_graph, monkeypatch, q, walk_laws):
+        # node2vec at p = q = 1 walks deepwalk's law: one embedding per seed,
+        # scored once, its rows copied under both names
+        seeds = (0, 1, 2)
+        kw = dict(algorithms=("deepwalk", "node2vec"), variants=("mo",), seeds=seeds,
+                  config=dataclasses.replace(FAST, q=q), fraction=0.2)
+        calls = []
+
+        def recording(name, fn):
+            def record(*args):
+                calls.append(name)
+                return fn(*args)
+            monkeypatch.setattr(pipeline, name, record)
+
+        for name in ("kmeans_cluster", "silhouette_score", "linkpred_row"):
+            recording(name, getattr(pipeline, name))
+        for task in ("cluster", "linkpred"):
+            expected = embed_then_score(small_graph, task, **kw)
+            calls.clear()
+            rows = run_report(small_graph, "toy", task, **kw)
+            assert rows[:len(expected)] == expected
+            if task == "cluster":
+                assert calls.count("kmeans_cluster") == walk_laws * len(seeds)
+                assert calls.count("silhouette_score") == walk_laws * len(seeds)
+            else:
+                assert calls.count("linkpred_row") == walk_laws * len(seeds)
+            if walk_laws == 1:
+                deepwalk, node2vec = ([dict(r, algorithm="") for r in rows if r["algorithm"] == a]
+                                      for a in ("deepwalk", "node2vec"))
+                assert node2vec == deepwalk
+
+    def test_more_clusters_than_nodes_rejected_before_embedding(self, small_graph,
+                                                                monkeypatch):
+        def embed_graph(*args):
+            raise AssertionError("embedded before the cluster count was checked")
+
+        monkeypatch.setattr(pipeline, "embed_graph", embed_graph)
+        with pytest.raises(ValueError, match="<= the node count 18, got 19"):
+            run_report(small_graph, "toy", "cluster", algorithms=("spectral",), config=FAST,
+                       clusters=small_graph.node_count + 1)
+
     def test_fewer_than_two_clusters_rejected_before_embedding(self, small_graph,
                                                                monkeypatch):
         embedded = []
@@ -376,10 +418,7 @@ class TestReportSerialization:
         assert float(parsed["precision"]) == 1 / 3  # repr keeps full precision
         assert parsed["sc"] == ""
 
-    def test_json_embeds_config(self, tmp_path):
-        path = tmp_path / "r.json"
-        text = write_report_json(self.rows(), {"fraction": 0.1}, path)
-        payload = json.loads(path.read_text())
-        assert payload == json.loads(text)
+    def test_json_embeds_config(self):
+        payload = json.loads(write_report_json(self.rows(), {"fraction": 0.1}))
         assert payload["config"] == {"fraction": 0.1}
         assert payload["rows"][0]["auc"] == 0.5

@@ -1,7 +1,8 @@
 """The benchmark's tracer (benchmark/tracer.py) wraps the program's functions
 and binds its counting hooks to their arguments by name, so a renamed or
 dropped argument breaks ``benchmark/run.py --trace 1``. These tests run the
-report and CLI paths the benchmark workloads take under the tracer."""
+report and CLI paths the benchmark workloads take under the tracer, and the
+reports under the row timer every benchmark run installs."""
 from __future__ import annotations
 
 import sys
@@ -11,6 +12,7 @@ from motifemb import TrainConfig, cli, pipeline, planted_partition
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "benchmark"))
 from tracer import Tracer  # noqa: E402
+from workloads import RowTimer  # noqa: E402
 
 FAST = TrainConfig(dim=4, walks_per_node=2, walk_length=8, window=2, negatives=2,
                    epochs=1, batch_size=64, line_samples_factor=5)
@@ -34,3 +36,18 @@ def test_reports_and_embed_run_under_tracer(tmp_path):
     assert code == 0
     for key in ("walks.tokens", "sgns.updates", "line.samples"):
         assert layers[key] > 0, key
+
+
+def test_reports_run_under_row_timer():
+    # the row timer binds the row functions' ``algorithm`` argument by name;
+    # at p = q = 1 node2vec's rows are copies of deepwalk's and time nothing
+    g, _ = planted_partition(seed=0, nodes_per_block=30, blocks=2, triangles_per_block=15)
+    timer = RowTimer()
+    timer.install()
+    try:
+        for task in ("linkpred", "cluster"):
+            pipeline.run_report(g, "ppm", task, algorithms=("deepwalk", "node2vec", "spectral"),
+                                seeds=(0, 1), config=FAST, fraction=0.2)
+            assert set(timer.take()) == {"row_s.deepwalk", "row_s.spectral"}, task
+    finally:
+        timer.uninstall()
