@@ -6,9 +6,14 @@ instructions), prints the statistics table, then runs the algorithm grid on
 each present dataset and reports mean AUC / silhouette per (algorithm,
 variant) with the mo-minus-base gap. Missing datasets are skipped.
 
-Full grid on the larger networks is slow; the defaults (3 seeds, dim 16,
-2 epochs) keep a full six-dataset run in the tens-of-minutes range. Use
---datasets/--algorithms to narrow a run.
+Settings are the CLI's: the `motifemb linkpred`/`cluster` flags that apply
+here (--algorithm as a comma list, --seeds as a comma list, --mode,
+--fraction, --threshold, --clusters and every trainer flag such as --dim,
+--p and --q) and --config FILE with the same keys; file values override
+this script's defaults and explicit flags override both. The full grid on
+the larger networks is slow; the defaults (seeds 0,1,2, dim 16, 2 epochs,
+5 walks per node, 3 negatives) keep a full six-dataset run in the
+tens-of-minutes range. Use --datasets/--algorithm to narrow a run.
 """
 from __future__ import annotations
 
@@ -19,34 +24,28 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from motifemb import TrainConfig, graph_stats, load_edge_list
-from motifemb.pipeline import ALGORITHMS, gap_table, run_report, write_report_csv
+from motifemb import graph_stats, load_edge_list
+from motifemb.cli import HYPERPARAMETERS, add_run_flags, run_command
+from motifemb.pipeline import gap_table, run_report, write_report_csv
 
 DATASET_DIR = Path(__file__).resolve().parent.parent / "datasets"
 DATASETS = ("wiki", "routers", "twitter", "facebook", "hamsterster", "openflights")
+DEFAULTS = dict(seeds="0,1,2", dim=16, epochs=2, walks_per_node=5, walk_length=20,
+                window=3, negatives=3)
 
 
-def parse_args() -> argparse.Namespace:
+def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    add_run_flags(ap, ("algorithm", "mode", *HYPERPARAMETERS, "seeds", "fraction",
+                       "threshold", "clusters"))
     ap.add_argument("--datasets", nargs="+", default=list(DATASETS),
                     choices=DATASETS, metavar="NAME")
-    ap.add_argument("--algorithms", nargs="+", default=list(ALGORITHMS),
-                    choices=ALGORITHMS, metavar="ALGO")
     ap.add_argument("--task", choices=("linkpred", "cluster", "both"), default="linkpred")
-    ap.add_argument("--seeds", type=int, default=3, help="number of eval seeds (0..N-1)")
-    ap.add_argument("--fraction", type=float, default=0.1)
-    ap.add_argument("--clusters", type=int, default=2)
-    ap.add_argument("--mode", choices=("strict", "smoothed"), default="strict")
-    ap.add_argument("--dim", type=int, default=16)
-    ap.add_argument("--epochs", type=int, default=2)
-    ap.add_argument("--walks-per-node", type=int, default=5)
-    ap.add_argument("--walk-length", type=int, default=20)
-    ap.add_argument("--window", type=int, default=3)
     ap.add_argument("--stats-only", action="store_true",
                     help="print the statistics table and exit")
     ap.add_argument("--out-dir", type=Path, default=None,
                     help="write one raw-rows CSV per dataset here")
-    return ap.parse_args()
+    return ap
 
 
 def print_stats_table(graphs: dict) -> None:
@@ -59,8 +58,8 @@ def print_stats_table(graphs: dict) -> None:
     print()
 
 
-def main() -> int:
-    args = parse_args()
+def report(run, args) -> int:
+    seeds, algorithms, threshold = run.seed_list(), run.algorithm_list(), run.threshold_value()
     graphs = {}
     for name in args.datasets:
         path = DATASET_DIR / f"{name}.edges"
@@ -76,15 +75,7 @@ def main() -> int:
     if args.stats_only:
         return 0
 
-    config = TrainConfig(
-        dim=args.dim,
-        walks_per_node=args.walks_per_node,
-        walk_length=args.walk_length,
-        window=args.window,
-        negatives=3,
-        epochs=args.epochs,
-    )
-    seeds = range(args.seeds)
+    config = run.train_config()
     tasks = ("linkpred", "cluster") if args.task == "both" else (args.task,)
     if args.out_dir is not None:
         args.out_dir.mkdir(parents=True, exist_ok=True)
@@ -93,12 +84,12 @@ def main() -> int:
         rows: list[dict] = []
         for task in tasks:
             t0 = time.time()
-            task_rows = run_report(g, name, task, algorithms=args.algorithms,
-                                   seeds=seeds, config=config, fraction=args.fraction,
-                                   mode=args.mode, clusters=args.clusters)
+            task_rows = run_report(g, name, task, algorithms=algorithms, seeds=seeds,
+                                   config=config, fraction=run.fraction, mode=run.mode,
+                                   threshold=threshold, clusters=run.clusters)
             rows.extend(task_rows)
             title = "AUC" if task == "linkpred" else "silhouette"
-            print(f"== {name}: {title} over {args.seeds} seeds "
+            print(f"== {name}: {title} over {len(seeds)} seeds "
                   f"({time.time() - t0:.0f}s) ==")
             print(gap_table(task_rows, "auc" if task == "linkpred" else "sc"))
             print()
@@ -107,6 +98,10 @@ def main() -> int:
             write_report_csv(rows, out)
             print(f"raw rows written to {out}\n")
     return 0
+
+
+def main(argv=None) -> int:
+    return run_command(build_parser(), argv, report, DEFAULTS)
 
 
 if __name__ == "__main__":

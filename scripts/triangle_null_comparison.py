@@ -6,6 +6,11 @@ double-edge swaps (degree multiset preserved) and counts again across
 several samples. Real networks typically carry far more triangles than the
 null, which is what makes triangle participation an informative signal for
 the motif-enhanced embedding variants.
+
+Settings are those of `motifemb motifs`: --null-model N samples (default 10,
+at least 1), drawn with seeds --seed .. --seed + N - 1 and --swaps-per-edge
+swap attempts per edge, and --config FILE with the same keys. The mean and
+std are those of the `null_model` block of `motifemb motifs --null-model N`.
 """
 from __future__ import annotations
 
@@ -13,28 +18,26 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from motifemb import count_triangles, load_edge_list, null_model_rewire
+from motifemb import count_triangles, load_edge_list, null_model_totals
+from motifemb.cli import add_run_flags, run_command
 
 DATASET_DIR = Path(__file__).resolve().parent.parent / "datasets"
 DATASETS = ("wiki", "routers", "twitter", "facebook", "hamsterster", "openflights")
 
 
-def parse_args() -> argparse.Namespace:
+def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    add_run_flags(ap, ("null_model", "swaps_per_edge", "seed"))
     ap.add_argument("--edges", type=Path, nargs="*", default=None,
                     help="explicit edge-list files (default: all present datasets/)")
-    ap.add_argument("--samples", type=int, default=10, help="null-model draws")
-    ap.add_argument("--swaps-per-edge", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=0)
-    return ap.parse_args()
+    return ap
 
 
-def main() -> int:
-    args = parse_args()
+def compare(run, args) -> int:
+    if run.null_model < 1:
+        raise ValueError(f"null_model must be >= 1, got {run.null_model}")
     if args.edges:
         paths = list(args.edges)
     else:
@@ -52,15 +55,15 @@ def main() -> int:
     for path in paths:
         g = load_edge_list(path)
         real = count_triangles(g).total_motifs
-        counts = []
-        for s in range(args.samples):
-            rewired = null_model_rewire(g, args.swaps_per_edge, args.seed + s)
-            counts.append(count_triangles(rewired).total_motifs)
-        arr = np.asarray(counts, dtype=np.float64)
+        arr = null_model_totals(g, run.null_model, run.swaps_per_edge, run.seed)
         ratio = real / arr.mean() if arr.mean() > 0 else float("inf")
         print(f"{path.stem:<13} {real:>10} {arr.mean():>12.1f} "
               f"{arr.std():>10.1f} {ratio:>8.2f}")
     return 0
+
+
+def main(argv=None) -> int:
+    return run_command(build_parser(), argv, compare, {"null_model": 10})
 
 
 if __name__ == "__main__":

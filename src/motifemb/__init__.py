@@ -40,6 +40,7 @@ from .motifs import (
     build_motif_adjacency,
     build_transition_model,
     count_triangles,
+    null_model_totals,
     unit_adjacency,
     uniform_transitions,
 )
@@ -83,6 +84,7 @@ __all__ = [
     "build_motif_adjacency",
     "build_transition_model",
     "count_triangles",
+    "null_model_totals",
     "unit_adjacency",
     "uniform_transitions",
     "embed_graph",

@@ -10,6 +10,9 @@ which override defaults, and the merged values are validated once. Exit code
 0 on success, 2 on bad input (unparseable graph, unknown names or choices,
 an empty or repeating seed, algorithm or variant list, conflicting flags,
 missing files).
+
+``add_run_flags`` and ``run_command`` parse it, for ``main`` and for the
+experiment scripts in scripts/.
 """
 from __future__ import annotations
 
@@ -23,8 +26,8 @@ from typing import Literal, get_args, get_origin
 import numpy as np
 
 from .config import TrainConfig, field_types
-from .graph import ParseError, graph_stats, load_edge_list, null_model_rewire
-from .motifs import MotifMode, count_triangles
+from .graph import ParseError, graph_stats, load_edge_list
+from .motifs import MotifMode, count_triangles, null_model_totals
 from .pipeline import (
     ALGORITHMS,
     VARIANTS,
@@ -38,7 +41,7 @@ from .pipeline import (
 from .embedding import save_embedding_binary, save_embedding_text
 from .synth import planted_partition
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["RunConfig", "HYPERPARAMETERS", "add_run_flags", "run_command", "main"]
 
 
 @dataclass(frozen=True)
@@ -96,14 +99,6 @@ class RunConfig(TrainConfig):
                 raise ValueError(f"{where}: bad value for {key}: {value!r}") from None
         return values
 
-    @classmethod
-    def from_file(cls, path) -> "RunConfig":
-        return cls(**cls.read_file(path))
-
-    def to_file(self, path) -> None:
-        lines = [f"{k}={v}" for k, v in dataclasses.asdict(self).items()]
-        Path(path).write_text("\n".join(lines) + "\n")
-
     def train_config(self) -> TrainConfig:
         return TrainConfig(**{f.name: getattr(self, f.name)
                               for f in dataclasses.fields(TrainConfig)})
@@ -151,6 +146,8 @@ def _choose(value: str, allowed: tuple[str, ...], what: str) -> tuple[str, ...]:
 
 def _load_graph(run: RunConfig):
     """(graph, dataset name) from --input or the synthetic generator."""
+    if run.synthetic and run.input:
+        raise ValueError("--input and --synthetic conflict: pass one graph source")
     if run.synthetic:
         g, _ = planted_partition(seed=run.seed)
         return g, run.dataset_name or "ppm"
@@ -192,11 +189,7 @@ def cmd_motifs(run: RunConfig) -> int:
         "edge_degree": rows,
     }
     if run.null_model > 0:
-        totals = []
-        for i in range(run.null_model):
-            rewired = null_model_rewire(g, run.swaps_per_edge, seed=run.seed + i)
-            totals.append(count_triangles(rewired).total_motifs)
-        arr = np.asarray(totals, dtype=np.float64)
+        arr = null_model_totals(g, run.null_model, run.swaps_per_edge, run.seed)
         payload["null_model"] = {
             "samples": run.null_model,
             "swaps_per_edge": run.swaps_per_edge,
@@ -271,11 +264,9 @@ _COMMANDS = {
     "cluster": cmd_cluster,
 }
 
-_TRAIN_FLAGS = (
-    "algorithm", "variant", "mode",
-    *(f.name for f in dataclasses.fields(TrainConfig) if f.name != "seed"),
-    "dataset_name",
-)
+# the TrainConfig fields a run sets by flag (the seed is a common flag)
+HYPERPARAMETERS = tuple(f.name for f in dataclasses.fields(TrainConfig) if f.name != "seed")
+_TRAIN_FLAGS = ("algorithm", "variant", "mode", *HYPERPARAMETERS, "dataset_name")
 # RunConfig fields each subcommand takes as --flags, beyond the common ones
 _COMMAND_FLAGS = {
     "stats": (),
@@ -286,8 +277,10 @@ _COMMAND_FLAGS = {
 }
 
 
-def _add_flags(p: argparse.ArgumentParser, names) -> None:
-    """One --flag per RunConfig field, typed and restricted like the field."""
+def add_run_flags(p: argparse.ArgumentParser, names) -> None:
+    """``--config FILE`` plus one --flag per named RunConfig field, typed and
+    restricted like the field."""
+    p.add_argument("--config", dest="config_file")
     types = field_types(RunConfig)
     for name in names:
         typ = types[name]
@@ -307,21 +300,30 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, names in _COMMAND_FLAGS.items():
         p = sub.add_parser(command, help=_COMMANDS[command].__doc__)
-        p.add_argument("--config", dest="config_file")
-        _add_flags(p, ("input", "synthetic", "seed", "out", "format", *names))
+        add_run_flags(p, ("input", "synthetic", "seed", "out", "format", *names))
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def run_command(parser: argparse.ArgumentParser, argv, command, defaults: dict) -> int:
+    """``command(run, args)`` for ``argv`` parsed by an ``add_run_flags`` parser:
+    ``run`` merges ``defaults`` <- --config file <- explicit flags, validated
+    once. Bad input there or in ``command`` prints ``error: ...``, returns 2."""
+    args = parser.parse_args(argv)
     try:
-        values = RunConfig.read_file(args.config_file) if args.config_file else {}
+        values = dict(defaults)
+        if args.config_file:
+            values.update(RunConfig.read_file(args.config_file))
+        fields = field_types(RunConfig)
         values.update((key, value) for key, value in vars(args).items()
-                      if key not in ("command", "config_file") and value is not None)
-        return _COMMANDS[args.command](RunConfig(**values))
+                      if key in fields and value is not None)
+        return command(RunConfig(**values), args)
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def main(argv=None) -> int:
+    return run_command(build_parser(), argv, lambda run, args: _COMMANDS[args.command](run), {})
 
 
 if __name__ == "__main__":

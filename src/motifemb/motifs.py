@@ -8,11 +8,12 @@ from typing import Literal
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import Graph
+from .graph import Graph, null_model_rewire
 
 __all__ = [
     "MotifStats",
     "count_triangles",
+    "null_model_totals",
     "WeightedAdjacency",
     "unit_adjacency",
     "build_motif_adjacency",
@@ -63,6 +64,18 @@ def count_triangles(g: Graph) -> MotifStats:
     nd.setflags(write=False)
     ed.setflags(write=False)
     return MotifStats(nd, ed, total, g.edges)
+
+
+def null_model_totals(g: Graph, samples: int, swaps_per_edge: int, seed: int) -> np.ndarray:
+    """Triangle totals of ``samples`` degree-preserving rewirings of ``g``,
+    drawn with seeds ``seed .. seed + samples - 1``, as float64."""
+    if samples < 1:
+        raise ValueError(f"null-model samples must be >= 1, got {samples}")
+    totals = []
+    for i in range(samples):
+        rewired = null_model_rewire(g, swaps_per_edge, seed=seed + i)
+        totals.append(count_triangles(rewired).total_motifs)
+    return np.asarray(totals, dtype=np.float64)
 
 
 def _check_stats_match(g: Graph, stats: MotifStats) -> None:

@@ -3,6 +3,7 @@ and byte-identical reruns. Commands are exercised through main(argv); one
 subprocess test proves the module entry point."""
 from __future__ import annotations
 
+import argparse
 import csv
 import dataclasses
 import io
@@ -48,30 +49,48 @@ def er_file(tmp_path):
     return str(path)
 
 
+def merged_config(argv, names=(), defaults=None) -> RunConfig:
+    """The RunConfig that the shared merge builds from ``argv`` for a parser
+    with the flags of ``names``."""
+    parser = argparse.ArgumentParser()
+    cli.add_run_flags(parser, names)
+    seen = []
+    assert cli.run_command(parser, argv, lambda run, args: seen.append(run) or 0,
+                           defaults or {}) == 0
+    return seen[0]
+
+
 class TestRunConfig:
     def test_file_round_trip(self, tmp_path):
         run = RunConfig(input="x.edges", dim=16, fraction=0.25, seeds="0,1")
         path = tmp_path / "run.cfg"
-        run.to_file(path)
-        assert RunConfig.from_file(path) == run
+        path.write_text("".join(f"{k}={v}\n" for k, v in dataclasses.asdict(run).items()))
+        assert merged_config(["--config", str(path)]) == run
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("# a comment\n\ndim=8\nseed=3\n")
-        run = RunConfig.from_file(path)
+        run = merged_config(["--config", str(path)])
         assert run.dim == 8 and run.seed == 3
 
     def test_unknown_key_rejected_with_location(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("dimension=8\n")
         with pytest.raises(ValueError, match="run.cfg:1"):
-            RunConfig.from_file(path)
+            RunConfig.read_file(path)
 
     def test_bad_literal_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("dim=eight\n")
         with pytest.raises(ValueError):
-            RunConfig.from_file(path)
+            RunConfig.read_file(path)
+
+    def test_defaults_under_file_under_flags(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("dim=8\nepochs=3\n")
+        run = merged_config(["--config", str(path), "--dim", "4"], ("dim", "epochs", "window"),
+                            {"dim": 16, "epochs": 2, "window": 7})
+        assert (run.dim, run.epochs, run.window) == (4, 3, 7)
 
     def test_seed_list(self):
         assert RunConfig(seed=7).seed_list() == [7]
@@ -189,6 +208,14 @@ class TestExitCodes:
     def test_no_graph_source(self, capsys):
         assert main(["stats"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_input_and_synthetic_conflict(self, k3_file, tmp_path, capsys):
+        out = tmp_path / "stats.json"
+        assert main(["stats", "--input", k3_file, "--synthetic", "ppm",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--input" in err and "--synthetic" in err
+        assert not out.exists()
 
     def test_missing_file(self, capsys):
         assert main(["stats", "--input", "/nonexistent/g.edges"]) == 2

@@ -13,6 +13,8 @@ from motifemb import (
     build_motif_adjacency,
     build_transition_model,
     count_triangles,
+    null_model_rewire,
+    null_model_totals,
     planted_partition,
     uniform_transitions,
     unit_adjacency,
@@ -152,6 +154,19 @@ class TestCountTriangles:
         after_counts = edge_counts(bigger, after)
         for edge, val in edge_counts(g, before).items():
             assert after_counts[edge] >= val
+
+
+class TestNullModelTotals:
+    def test_one_rewiring_per_seed(self):
+        g = er_graph(30, 0.2, seed=2)
+        totals = null_model_totals(g, 3, 2, seed=7)
+        want = [count_triangles(null_model_rewire(g, 2, seed=s)).total_motifs
+                for s in (7, 8, 9)]
+        assert totals.dtype == np.float64 and totals.tolist() == want
+
+    def test_no_sample_rejected(self):
+        with pytest.raises(ValueError, match="samples"):
+            null_model_totals(er_graph(10, 0.5, seed=1), 0, 1, seed=0)
 
 
 class TestWeightedAdjacency:
