@@ -9,11 +9,12 @@ variant) with the mo-minus-base gap. Missing datasets are skipped.
 Settings are the CLI's: the `motifemb linkpred`/`cluster` flags that apply
 here (--algorithm as a comma list, --seeds as a comma list, --mode,
 --fraction, --threshold, --clusters and every trainer flag such as --dim,
---p and --q) and --config FILE with the same keys; file values override
-this script's defaults and explicit flags override both. The full grid on
-the larger networks is slow; the defaults (seeds 0,1,2, dim 16, 2 epochs,
-5 walks per node, 3 negatives) keep a full six-dataset run in the
-tens-of-minutes range. Use --datasets/--algorithm to narrow a run.
+--p and --q) and --config FILE, whose keys are those flags' names and no
+others; file values override this script's defaults, which --help shows,
+and explicit flags override both. The full grid on the larger networks is
+slow; the defaults (seeds 0,1,2, dim 16, 2 epochs, 5 walks per node, 3
+negatives) keep a full six-dataset run in the tens-of-minutes range. Use
+--datasets/--algorithm to narrow a run.
 """
 from __future__ import annotations
 
@@ -37,10 +38,11 @@ DEFAULTS = dict(seeds="0,1,2", dim=16, epochs=2, walks_per_node=5, walk_length=2
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     add_run_flags(ap, ("algorithm", "mode", *HYPERPARAMETERS, "seeds", "fraction",
-                       "threshold", "clusters"))
+                       "threshold", "clusters"), DEFAULTS)
     ap.add_argument("--datasets", nargs="+", default=list(DATASETS),
-                    choices=DATASETS, metavar="NAME")
-    ap.add_argument("--task", choices=("linkpred", "cluster", "both"), default="linkpred")
+                    choices=DATASETS, metavar="NAME", help="default: all of them")
+    ap.add_argument("--task", choices=("linkpred", "cluster", "both"), default="linkpred",
+                    help="default: %(default)s")
     ap.add_argument("--stats-only", action="store_true",
                     help="print the statistics table and exit")
     ap.add_argument("--out-dir", type=Path, default=None,
@@ -101,7 +103,7 @@ def report(run, args) -> int:
 
 
 def main(argv=None) -> int:
-    return run_command(build_parser(), argv, report, DEFAULTS)
+    return run_command(build_parser(), argv, report)
 
 
 if __name__ == "__main__":

@@ -7,11 +7,12 @@ clustering silhouette tables with the mo-minus-base gap per algorithm.
 
 Settings are the CLI's: the `motifemb linkpred`/`cluster` flags that apply
 here (--algorithm, --seeds as a comma list, --mode, --fraction, --threshold
-and every trainer flag such as --dim, --p and --q) and --config FILE with
-the same keys. --seed is the generator seed. The defaults mirror the frozen
-benchmark in tests/test_acceptance.py (criteria 7 and 8) and finish in a
-couple of minutes; file values override them and explicit flags override
-both. --blocks is also the cluster count. For example:
+and every trainer flag such as --dim, --p and --q) and --config FILE, whose
+keys are those flags' names and no others. --seed is the generator seed.
+The defaults, which --help shows, mirror the frozen benchmark in
+tests/test_acceptance.py (criteria 7 and 8) and finish in a couple of
+minutes; file values override them and explicit flags override both.
+--blocks is also the cluster count. For example:
 
     python3 scripts/synthetic_benchmark.py --q 0.5 --algorithm deepwalk,node2vec
 """
@@ -36,11 +37,12 @@ DEFAULTS = dict(seed=5, seeds="0,1,2,3,4,5,6,7,8,9", dim=8, walks_per_node=4,
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     add_run_flags(ap, ("seed", "seeds", "algorithm", "mode", *HYPERPARAMETERS,
-                       "fraction", "threshold"))
-    ap.add_argument("--nodes-per-block", type=int, default=300)
-    ap.add_argument("--blocks", type=int, default=2)
-    ap.add_argument("--triangles-per-block", type=int, default=200)
-    ap.add_argument("--task", choices=("linkpred", "cluster", "both"), default="both")
+                       "fraction", "threshold"), DEFAULTS)
+    ap.add_argument("--nodes-per-block", type=int, default=300, help="default: %(default)s")
+    ap.add_argument("--blocks", type=int, default=2, help="default: %(default)s")
+    ap.add_argument("--triangles-per-block", type=int, default=200, help="default: %(default)s")
+    ap.add_argument("--task", choices=("linkpred", "cluster", "both"), default="both",
+                    help="default: %(default)s")
     ap.add_argument("--csv", type=Path, default=None, help="also dump raw rows to CSV")
     return ap
 
@@ -77,7 +79,7 @@ def report(run, args) -> int:
 
 
 def main(argv=None) -> int:
-    return run_command(build_parser(), argv, report, DEFAULTS)
+    return run_command(build_parser(), argv, report)
 
 
 if __name__ == "__main__":

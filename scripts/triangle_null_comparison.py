@@ -9,8 +9,9 @@ the motif-enhanced embedding variants.
 
 Settings are those of `motifemb motifs`: --null-model N samples (default 10,
 at least 1), drawn with seeds --seed .. --seed + N - 1 and --swaps-per-edge
-swap attempts per edge, and --config FILE with the same keys. The mean and
-std are those of the `null_model` block of `motifemb motifs --null-model N`.
+swap attempts per edge, and --config FILE, whose keys are those three flags'
+names and no others. The mean and std are those of the `null_model` block of
+`motifemb motifs --null-model N`.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ DATASETS = ("wiki", "routers", "twitter", "facebook", "hamsterster", "openflight
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    add_run_flags(ap, ("null_model", "swaps_per_edge", "seed"))
+    add_run_flags(ap, ("null_model", "swaps_per_edge", "seed"), {"null_model": 10})
     ap.add_argument("--edges", type=Path, nargs="*", default=None,
                     help="explicit edge-list files (default: all present datasets/)")
     return ap
@@ -63,7 +64,7 @@ def compare(run, args) -> int:
 
 
 def main(argv=None) -> int:
-    return run_command(build_parser(), argv, compare, {"null_model": 10})
+    return run_command(build_parser(), argv, compare)
 
 
 if __name__ == "__main__":

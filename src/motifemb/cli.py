@@ -1,15 +1,17 @@
 """Command-line interface.
 
 Subcommands: stats, motifs, embed, linkpred, cluster. Shared flags: --input,
---config, --seed, --out, --format {json,csv}. RunConfig (the TrainConfig
-hyperparameters plus run-level fields) is the one declaration of every
-setting: each config-file key and each --flag is a RunConfig field, typed
-and, for Literal fields, restricted to the same choices. A config file holds
-flat key=value lines; explicit command-line flags override file values,
-which override defaults, and the merged values are validated once. Exit code
-0 on success, 2 on bad input (unparseable graph, unknown names or choices,
-an empty or repeating seed, algorithm or variant list, conflicting flags,
-missing files).
+--config, --seed, --out; all but embed take --format {json,csv}. RunConfig
+(the TrainConfig hyperparameters plus run-level fields) declares every
+setting, typed and, for Literal fields, restricted to its choices. Each
+entry point (a subcommand or a script) names the fields it reads: they are
+its --flags (--help shows their defaults), its config-file keys and the
+config block of its JSON report. A config file holds flat key=value lines;
+explicit flags override file values, which override defaults, and the merged
+values are validated once. Exit code 0 on success, 2 on bad input
+(unparseable graph, unknown names or choices, a config key that is not a
+flag, an empty or repeating seed, algorithm or variant list, conflicting
+flags, missing files).
 
 ``add_run_flags`` and ``run_command`` parse it, for ``main`` and for the
 experiment scripts in scripts/.
@@ -77,8 +79,9 @@ class RunConfig(TrainConfig):
             raise ValueError("clusters must be >= 2")
 
     @classmethod
-    def read_file(cls, path) -> dict:
-        """Typed ``{field: value}`` for the key=value lines of a config file."""
+    def read_file(cls, path, names, entry: str) -> dict:
+        """Typed ``{field: value}`` for the key=value lines of a config file
+        of the entry point ``entry``, whose settings are the fields ``names``."""
         values = {}
         types = field_types(cls)
         text = Path(path).read_text()
@@ -93,6 +96,8 @@ class RunConfig(TrainConfig):
             typ = types.get(key)
             if typ is None:
                 raise ValueError(f"{where}: unknown config key {key!r}")
+            if key not in names:
+                raise ValueError(f"{where}: config key {key!r} is not a setting of {entry}")
             try:
                 values[key] = typ(value) if typ in (int, float) else value
             except ValueError:
@@ -238,10 +243,9 @@ def _report_command(run: RunConfig, task: str) -> int:
     if run.format == "csv":
         _emit(write_report_csv(rows), run)
     else:
-        # where the report goes is not part of the run, so one run written
-        # to two paths gives the same bytes
-        config = dataclasses.asdict(run)
-        del config["out"]
+        # the command's settings; where the report goes is not part of the
+        # run, so one run written to two paths gives the same bytes
+        config = {name: getattr(run, name) for name in _COMMAND_FLAGS[task] if name != "out"}
         _emit(write_report_json(rows, config), run)
     return 0
 
@@ -266,30 +270,43 @@ _COMMANDS = {
 
 # the TrainConfig fields a run sets by flag (the seed is a common flag)
 HYPERPARAMETERS = tuple(f.name for f in dataclasses.fields(TrainConfig) if f.name != "seed")
-_TRAIN_FLAGS = ("algorithm", "variant", "mode", *HYPERPARAMETERS, "dataset_name")
-# RunConfig fields each subcommand takes as --flags, beyond the common ones
+_COMMON_FLAGS = ("input", "synthetic", "seed", "out")
+_TRAIN_FLAGS = ("algorithm", "variant", "mode", *HYPERPARAMETERS)
+_REPORT_FLAGS = (*_COMMON_FLAGS, "format", *_TRAIN_FLAGS, "dataset_name", "seeds")
+# each subcommand's settings: its flags and the keys its config file may set
 _COMMAND_FLAGS = {
-    "stats": (),
-    "motifs": ("null_model", "swaps_per_edge"),
-    "embed": (*_TRAIN_FLAGS, "emb_format"),
-    "linkpred": (*_TRAIN_FLAGS, "seeds", "fraction", "threshold"),
-    "cluster": (*_TRAIN_FLAGS, "seeds", "clusters"),
+    "stats": (*_COMMON_FLAGS, "format"),
+    "motifs": (*_COMMON_FLAGS, "format", "null_model", "swaps_per_edge"),
+    "embed": (*_COMMON_FLAGS, *_TRAIN_FLAGS, "emb_format"),
+    "linkpred": (*_REPORT_FLAGS, "fraction", "threshold"),
+    "cluster": (*_REPORT_FLAGS, "clusters"),
 }
 
 
-def add_run_flags(p: argparse.ArgumentParser, names) -> None:
-    """``--config FILE`` plus one --flag per named RunConfig field, typed and
-    restricted like the field."""
-    p.add_argument("--config", dest="config_file")
+def add_run_flags(p: argparse.ArgumentParser, names, defaults=None) -> None:
+    """Declare the RunConfig fields ``names`` as the settings of ``p``'s runs:
+    ``--config FILE``, whose keys must be among them, plus one --flag each,
+    typed and restricted like the field. ``defaults`` replaces RunConfig's
+    default of some of them; --help shows each flag's effective default. The
+    parsed namespace carries the settings, with their defaults, as
+    ``run_settings``."""
+    defaults = defaults or {}
+    field_defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+    settings = {name: defaults.get(name, field_defaults[name]) for name in names}
+    p.add_argument("--config", dest="config_file", metavar="FILE",
+                   help="key=value lines; each key is one of these flags")
     types = field_types(RunConfig)
-    for name in names:
+    for name, default in settings.items():
         typ = types[name]
-        kw: dict = {}
+        # argparse's own default stays None, so an omitted flag never
+        # overrides the file
+        kw: dict = {"help": f"default: {default!r}".replace("%", "%%")}
         if get_origin(typ) is Literal:
             kw["choices"] = [c for c in get_args(typ) if c]  # "" means unset
         elif typ in (int, float):
             kw["type"] = typ
         p.add_argument("--" + name.replace("_", "-"), **kw)
+    p.set_defaults(run_settings=settings, run_entry=p.prog)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -300,22 +317,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, names in _COMMAND_FLAGS.items():
         p = sub.add_parser(command, help=_COMMANDS[command].__doc__)
-        add_run_flags(p, ("input", "synthetic", "seed", "out", "format", *names))
+        add_run_flags(p, names)
     return parser
 
 
-def run_command(parser: argparse.ArgumentParser, argv, command, defaults: dict) -> int:
+def run_command(parser: argparse.ArgumentParser, argv, command) -> int:
     """``command(run, args)`` for ``argv`` parsed by an ``add_run_flags`` parser:
-    ``run`` merges ``defaults`` <- --config file <- explicit flags, validated
-    once. Bad input there or in ``command`` prints ``error: ...``, returns 2."""
+    ``run`` merges the declared defaults <- --config file <- explicit flags,
+    validated once. Bad input there or in ``command`` prints ``error: ...``,
+    returns 2."""
     args = parser.parse_args(argv)
     try:
-        values = dict(defaults)
+        values = dict(args.run_settings)
         if args.config_file:
-            values.update(RunConfig.read_file(args.config_file))
-        fields = field_types(RunConfig)
+            values.update(RunConfig.read_file(args.config_file, args.run_settings,
+                                              args.run_entry))
         values.update((key, value) for key, value in vars(args).items()
-                      if key in fields and value is not None)
+                      if key in args.run_settings and value is not None)
         return command(RunConfig(**values), args)
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -323,7 +341,7 @@ def run_command(parser: argparse.ArgumentParser, argv, command, defaults: dict) 
 
 
 def main(argv=None) -> int:
-    return run_command(build_parser(), argv, lambda run, args: _COMMANDS[args.command](run), {})
+    return run_command(build_parser(), argv, lambda run, args: _COMMANDS[args.command](run))
 
 
 if __name__ == "__main__":

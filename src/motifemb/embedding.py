@@ -1,8 +1,10 @@
 """Embedding matrix container plus text and binary serialization.
 
 Text format: optional '#'-prefixed provenance comments, a "n d" header line,
-then one row per node: "<label> <v1> ... <vd>". Binary format: two little
-endian uint32 (n, d) followed by row-major float32 values.
+then one row per node: "<label> <v1> ... <vd>". Comments come only before the
+header: after it every non-blank line is a row, whatever its label starts
+with. Binary format: two little endian uint32 (n, d) followed by row-major
+float32 values.
 """
 from __future__ import annotations
 
@@ -79,13 +81,13 @@ def load_embedding_text(path) -> tuple[EmbeddingMatrix, list[str]]:
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
-                provenance[key.strip()] = value.strip()
-            continue
         if header is None:
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if "=" in body:
+                    key, _, value = body.partition("=")
+                    provenance[key.strip()] = value.strip()
+                continue
             parts = line.split()
             if len(parts) != 2:
                 raise ValueError(f"bad header line: {line!r}")

@@ -18,7 +18,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial.distance import cdist
-from scipy.stats import rankdata
 
 from .embedding import EmbeddingMatrix
 from .graph import Graph
@@ -126,14 +125,18 @@ def cosine_scores(emb: EmbeddingMatrix, pairs: np.ndarray) -> tuple[np.ndarray, 
 
 
 def rank_auc(pos_scores: np.ndarray, neg_scores: np.ndarray) -> float:
-    """Mann-Whitney AUC with average ranks on ties (a tie counts 1/2)."""
+    """Mann-Whitney AUC: the share of (positive, negative) pairs that the
+    positive wins, a tie counting 1/2; NaN if any score is NaN."""
     pos = np.asarray(pos_scores, dtype=np.float64)
-    neg = np.asarray(neg_scores, dtype=np.float64)
+    neg = np.sort(np.asarray(neg_scores, dtype=np.float64))
     if pos.size == 0 or neg.size == 0:
         raise ValueError("need at least one positive and one negative score")
-    ranks = rankdata(np.concatenate([pos, neg]))
-    r_pos = ranks[: pos.size].sum()
-    return float((r_pos - pos.size * (pos.size + 1) / 2) / (pos.size * neg.size))
+    if np.isnan(pos).any() or np.isnan(neg).any():
+        return float("nan")
+    below = np.searchsorted(neg, pos, side="left")
+    ties = np.searchsorted(neg, pos, side="right") - below
+    # an exact half-integer, rounded once by the division
+    return float((below.sum() + ties.sum() / 2) / (pos.size * neg.size))
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,8 @@ optional on-disk dataset registry (files are fetched manually, see
 datasets/README.md; tests that need them skip when absent)."""
 from __future__ import annotations
 
+import functools
+import importlib.util
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 from motifemb import Graph
 
 DATASET_DIR = Path(__file__).resolve().parent.parent / "datasets"
+SCRIPT_DIR = Path(__file__).resolve().parent.parent / "scripts"
 
 # name -> (num_nodes, num_edges, max_degree, avg_degree, density)
 EXPECTED_DATASET_STATS = {
@@ -39,6 +42,15 @@ def require_dataset(name: str) -> Path:
 
 def available_datasets() -> list[str]:
     return [n for n in EXPECTED_DATASET_STATS if dataset_path(n).exists()]
+
+
+@functools.cache
+def load_script(name: str):
+    """The module of scripts/<name>.py, imported once, for its parser."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPT_DIR / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def er_graph(n: int, p: float, seed: int) -> Graph:

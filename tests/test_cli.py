@@ -8,6 +8,7 @@ import csv
 import dataclasses
 import io
 import json
+import re
 import subprocess
 import sys
 from typing import Literal, get_args, get_origin
@@ -26,7 +27,7 @@ from motifemb.cli import RunConfig, main
 from motifemb.config import field_types
 from motifemb.pipeline import ALGORITHMS, REPORT_COLUMNS
 
-from conftest import er_graph
+from conftest import er_graph, load_script
 
 FAST_FLAGS = [
     "--dim", "4", "--walks-per-node", "3", "--walk-length", "10",
@@ -49,14 +50,13 @@ def er_file(tmp_path):
     return str(path)
 
 
-def merged_config(argv, names=(), defaults=None) -> RunConfig:
+def merged_config(argv, names, defaults=None) -> RunConfig:
     """The RunConfig that the shared merge builds from ``argv`` for a parser
-    with the flags of ``names``."""
+    declaring the settings ``names``."""
     parser = argparse.ArgumentParser()
-    cli.add_run_flags(parser, names)
+    cli.add_run_flags(parser, names, defaults)
     seen = []
-    assert cli.run_command(parser, argv, lambda run, args: seen.append(run) or 0,
-                           defaults or {}) == 0
+    assert cli.run_command(parser, argv, lambda run, args: seen.append(run) or 0) == 0
     return seen[0]
 
 
@@ -64,26 +64,27 @@ class TestRunConfig:
     def test_file_round_trip(self, tmp_path):
         run = RunConfig(input="x.edges", dim=16, fraction=0.25, seeds="0,1")
         path = tmp_path / "run.cfg"
-        path.write_text("".join(f"{k}={v}\n" for k, v in dataclasses.asdict(run).items()))
-        assert merged_config(["--config", str(path)]) == run
+        values = dataclasses.asdict(run)
+        path.write_text("".join(f"{k}={v}\n" for k, v in values.items()))
+        assert merged_config(["--config", str(path)], values) == run
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("# a comment\n\ndim=8\nseed=3\n")
-        run = merged_config(["--config", str(path)])
+        run = merged_config(["--config", str(path)], ("dim", "seed"))
         assert run.dim == 8 and run.seed == 3
 
     def test_unknown_key_rejected_with_location(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("dimension=8\n")
         with pytest.raises(ValueError, match="run.cfg:1"):
-            RunConfig.read_file(path)
+            RunConfig.read_file(path, ("dim",), "test")
 
     def test_bad_literal_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("dim=eight\n")
         with pytest.raises(ValueError):
-            RunConfig.read_file(path)
+            RunConfig.read_file(path, ("dim",), "test")
 
     def test_defaults_under_file_under_flags(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -122,14 +123,51 @@ class TestRunConfig:
 
 
 TRAIN_FIELDS = [f for f in dataclasses.fields(TrainConfig) if f.name != "seed"]
+RUN_DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+STR_VALUES = {"input": "g.edges", "dataset_name": "g", "algorithm": "line", "variant": "mo",
+              "seeds": "3,4", "threshold": "0.4", "out": "r.out"}
 
 
-def non_default(field: dataclasses.Field):
-    """A valid value of the field that differs from its default."""
-    typ = field_types(TrainConfig)[field.name]
+def non_default(name: str):
+    """A valid value of the RunConfig field ``name`` that differs from its
+    default."""
+    typ, default = field_types(RunConfig)[name], RUN_DEFAULTS[name]
     if get_origin(typ) is Literal:
-        return next(c for c in get_args(typ) if c != field.default)
-    return typ(field.default * 2)
+        return next(c for c in get_args(typ) if c != default)
+    if typ is str:
+        return STR_VALUES[name]
+    return default + 1 if typ is int else default * 2
+
+
+SCRIPT_ENTRY_POINTS = ("synthetic_benchmark", "dataset_report", "triangle_null_comparison")
+
+
+def entry_parser(entry: str) -> tuple[argparse.ArgumentParser, list[str]]:
+    """The parser of a subcommand or an experiment script, and the argv
+    prefix that selects the entry point."""
+    if entry in cli._COMMANDS:
+        return cli.build_parser(), [entry]
+    return load_script(entry).build_parser(), []
+
+
+def declared(entry: str) -> dict:
+    """The entry point's settings, each with its default."""
+    parser, prefix = entry_parser(entry)
+    return parser.parse_args(prefix).run_settings
+
+
+ENTRY_POINTS = (*cli._COMMANDS, *SCRIPT_ENTRY_POINTS)
+DECLARED = [(entry, name) for entry in ENTRY_POINTS for name in declared(entry)]
+UNDECLARED = [(entry, name) for entry in ENTRY_POINTS for name in RUN_DEFAULTS
+              if name not in declared(entry)]
+
+
+def captured_run(entry: str, argv) -> tuple[int, list[RunConfig]]:
+    """Exit code and the RunConfig handed to the entry point's command."""
+    parser, prefix = entry_parser(entry)
+    seen = []
+    code = cli.run_command(parser, [*prefix, *argv], lambda run, args: seen.append(run) or 0)
+    return code, seen
 
 
 class TestOneDeclaration:
@@ -143,7 +181,7 @@ class TestOneDeclaration:
         seen = []
         monkeypatch.setitem(cli._COMMANDS, command,
                             lambda run: seen.append(run.train_config()) or 0)
-        value = non_default(field)
+        value = non_default(field.name)
         want = dataclasses.replace(TrainConfig(), **{field.name: value})
 
         flag = "--" + field.name.replace("_", "-")
@@ -162,8 +200,8 @@ class TestOneDeclaration:
                                                  tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key}={value}\n")
-        out = tmp_path / "stats.out"
-        code = main(["stats", "--input", k3_file, "--config", str(cfg),
+        out = tmp_path / "report.out"
+        code = main(["linkpred", "--input", k3_file, "--config", str(cfg),
                      "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
@@ -180,6 +218,49 @@ class TestOneDeclaration:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
+
+    @pytest.mark.parametrize("entry,name", UNDECLARED, ids="-".join)
+    def test_undeclared_file_key_exits_two(self, entry, name, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# not a setting here\n{name}={non_default(name)}\n")
+        code, seen = captured_run(entry, ["--config", str(cfg)])
+        assert code == 2 and not seen
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}:2: config key {name!r} is not a setting of ")
+        if entry in cli._COMMANDS:
+            assert err.rstrip().endswith(f"motifemb {entry}")
+
+    @pytest.mark.parametrize("entry,name", DECLARED, ids="-".join)
+    def test_declared_file_key_and_flag_reach_the_run(self, entry, name, tmp_path):
+        value = non_default(name)
+        assert value != declared(entry)[name]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{name}={value}\n")
+        flag = "--" + name.replace("_", "-")
+        for argv in (["--config", str(cfg)], [flag, str(value)]):
+            code, seen = captured_run(entry, argv)
+            assert code == 0 and getattr(seen[0], name) == value
+
+    def test_entry_point_defaults_reach_the_run(self):
+        for entry in ENTRY_POINTS:
+            code, seen = captured_run(entry, [])
+            assert code == 0
+            assert {name: getattr(seen[0], name) for name in declared(entry)} == declared(entry)
+
+    @pytest.mark.parametrize("flag,value", [("--format", "csv"), ("--dataset-name", "X")])
+    def test_embed_rejects_flags_it_does_not_read(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["embed", flag, value])
+        assert err.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry,dim", [("synthetic_benchmark", 8), ("dataset_report", 16),
+                                           ("linkpred", 64)])
+    def test_help_shows_the_effective_default(self, entry, dim, capsys):
+        parser, prefix = entry_parser(entry)
+        with pytest.raises(SystemExit):
+            parser.parse_args([*prefix, "--help"])
+        assert re.search(rf"--dim DIM\s+default: {dim}\n", capsys.readouterr().out)
 
     @pytest.mark.parametrize(
         "command,flag,value",
@@ -358,6 +439,18 @@ class TestEmbed:
         assert emb.provenance["algorithm"] == "spectral"
         assert emb.provenance["variant"] == "base"
 
+    def test_comment_prefixed_labels_round_trip(self, tmp_path):
+        # '#x' and '%y' are labels here: only a line that starts with '#'
+        # or '%' is a comment
+        edges = tmp_path / "g.edges"
+        edges.write_text("a #x\nb %y\na b\n")
+        out = tmp_path / "e.txt"
+        assert main(["embed", "--input", str(edges), "--algorithm", "spectral",
+                     "--variant", "base", "--dim", "2", "--out", str(out)]) == 0
+        emb, labels = load_embedding_text(out)
+        assert labels == ["a", "#x", "b", "%y"]
+        assert emb.vectors.shape == (4, 2)
+
     def test_binary_output(self, er_file, tmp_path):
         out = tmp_path / "e.bin"
         assert main(
@@ -450,6 +543,19 @@ class TestReports:
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
         assert "out" not in json.loads(a.read_text())["config"]
+
+    @pytest.mark.parametrize("command", ["linkpred", "cluster"])
+    def test_json_report_regenerates_from_its_config_block(self, command, er_file,
+                                                           tmp_path):
+        first, again = tmp_path / "first.json", tmp_path / "again.json"
+        assert main([command, "--input", er_file, "--algorithm", "spectral,deepwalk",
+                     "--seeds", "0,1", *FAST_FLAGS, "--out", str(first)]) == 0
+        config = json.loads(first.read_text())["config"]
+        assert set(config) == set(declared(command)) - {"out"}
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key}={value}\n" for key, value in config.items()))
+        assert main([command, "--config", str(cfg), "--out", str(again)]) == 0
+        assert again.read_bytes() == first.read_bytes()
 
     def test_fewer_than_two_clusters_exits_two(self, er_file, tmp_path, capsys, monkeypatch):
         trained = []

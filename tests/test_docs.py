@@ -1,0 +1,47 @@
+"""The README's command examples parse with the real parsers, so a flag
+renamed or removed from a declaration cannot stay in the docs. Nothing is
+run: each example only goes through its parser's ``parse_args``."""
+from __future__ import annotations
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from motifemb import cli
+
+from conftest import SCRIPT_DIR, load_script
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_examples() -> list[list[str]]:
+    """argv of every `motifemb ...` and `python3 scripts/<name>.py ...`
+    line in the README's code blocks, with `\\` continuations joined and
+    `#` comments dropped."""
+    examples = []
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(), re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["motifemb"] or " ".join(argv[:2]).startswith("python3 scripts/"):
+                examples.append(argv)
+    return examples
+
+
+EXAMPLES = readme_examples()
+
+
+def test_readme_has_examples_of_every_entry_point():
+    commands = {argv[1] for argv in EXAMPLES if argv[0] == "motifemb"}
+    scripts = {argv[1] for argv in EXAMPLES if argv[0] != "motifemb"}
+    assert commands == set(cli._COMMANDS)
+    assert scripts == {f"scripts/{path.name}" for path in SCRIPT_DIR.glob("*.py")}
+
+
+@pytest.mark.parametrize("argv", EXAMPLES, ids=" ".join)
+def test_readme_example_parses(argv):
+    if argv[0] == "motifemb":
+        cli.build_parser().parse_args(argv[1:])
+    else:
+        load_script(Path(argv[1]).stem).build_parser().parse_args(argv[2:])

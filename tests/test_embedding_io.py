@@ -76,6 +76,18 @@ class TestTextFormat:
         assert back.provenance == {"trainer": "sgns", "dim": "3"}
         assert labels == ["alpha", "beta"]
 
+    def test_comment_prefixed_labels_round_trip(self, tmp_path):
+        # '#' and '%' start a comment only before the "n d" header; after
+        # it every line is a row, so such labels stay rows
+        path = tmp_path / "e.txt"
+        emb = EmbeddingMatrix(np.arange(8.0).reshape(4, 2), {"trainer": "sgns"})
+        names = ["#x", "%y", "#", "a=b"]
+        save_embedding_text(emb, path, labels=names)
+        back, labels = load_embedding_text(path)
+        assert labels == names
+        assert np.array_equal(back.vectors, emb.vectors)
+        assert back.provenance == {"trainer": "sgns"}
+
     def test_row_count_mismatch_rejected(self, tmp_path):
         path = tmp_path / "e.txt"
         path.write_text("3 2\na 1.0 2.0\nb 3.0 4.0\n")

@@ -3,14 +3,19 @@ silhouette values. Silhouette is checked against an independent brute-force
 reimplementation; metric arithmetic against hand-computed confusion tables."""
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
+from scipy.stats import rankdata
 
 from motifemb import (
     EmbeddingMatrix,
@@ -114,6 +119,20 @@ score_lists = st.lists(
     st.integers(min_value=-500, max_value=500).map(lambda v: v / 100.0),
     min_size=1, max_size=30, unique=True,
 )
+
+
+tied_scores = st.lists(st.integers(min_value=0, max_value=4).map(lambda v: v / 4.0),
+                       min_size=1, max_size=40)
+real_scores = st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=40)
+
+
+def rankdata_auc(pos, neg) -> float:
+    """The average-rank Mann-Whitney formula over scipy's rankdata, the
+    oracle that rank_auc is byte-compared with."""
+    pos, neg = np.asarray(pos, dtype=np.float64), np.asarray(neg, dtype=np.float64)
+    ranks = rankdata(np.concatenate([pos, neg]))
+    r_pos = ranks[: pos.size].sum()
+    return float((r_pos - pos.size * (pos.size + 1) / 2) / (pos.size * neg.size))
 
 
 class TestMakeSplit:
@@ -313,6 +332,24 @@ class TestRankAuc:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             rank_auc(np.array([]), np.array([0.5]))
+
+    @given(data=st.data(), scores=st.sampled_from([tied_scores, real_scores]))
+    @settings(max_examples=200, deadline=None)
+    def test_same_bytes_as_rankdata_formula(self, data, scores):
+        pos, neg = data.draw(scores), data.draw(scores)
+        assert rank_auc(pos, neg).hex() == rankdata_auc(pos, neg).hex()
+
+    @pytest.mark.parametrize("pos,neg", [([0.5, np.nan], [0.1]), ([0.5], [np.nan, 0.1])])
+    def test_nan_score_gives_nan(self, pos, neg):
+        assert np.isnan(rankdata_auc(pos, neg))
+        assert np.isnan(rank_auc(pos, neg))
+
+    def test_package_import_leaves_scipy_stats_unloaded(self):
+        code = "import sys, motifemb, motifemb.cli; print('scipy.stats' in sys.modules)"
+        src = str(Path(evaluation.__file__).parents[1])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.stdout.strip() == "False"
 
 
 class TestComputeMetrics:
