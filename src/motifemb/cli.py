@@ -10,8 +10,8 @@ config block of its JSON report. A config file holds flat key=value lines;
 explicit flags override file values, which override defaults, and the merged
 values are validated once. Exit code 0 on success, 2 on bad input
 (unparseable graph, unknown names or choices, a config key that is not a
-flag, an empty or repeating seed, algorithm or variant list, conflicting
-flags, missing files).
+flag or that repeats, an empty or repeating seed, algorithm or variant
+list, conflicting flags, missing files).
 
 ``add_run_flags`` and ``run_command`` parse it, for ``main`` and for the
 experiment scripts in scripts/.
@@ -82,7 +82,7 @@ class RunConfig(TrainConfig):
     def read_file(cls, path, names, entry: str) -> dict:
         """Typed ``{field: value}`` for the key=value lines of a config file
         of the entry point ``entry``, whose settings are the fields ``names``."""
-        values = {}
+        values, first_line = {}, {}
         types = field_types(cls)
         text = Path(path).read_text()
         for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -98,6 +98,10 @@ class RunConfig(TrainConfig):
                 raise ValueError(f"{where}: unknown config key {key!r}")
             if key not in names:
                 raise ValueError(f"{where}: config key {key!r} is not a setting of {entry}")
+            if key in first_line:
+                raise ValueError(f"{where}: config key {key!r} repeats "
+                                 f"(first set on line {first_line[key]})")
+            first_line[key] = lineno
             try:
                 values[key] = typ(value) if typ in (int, float) else value
             except ValueError:

@@ -139,7 +139,7 @@ def non_default(name: str):
     return default + 1 if typ is int else default * 2
 
 
-SCRIPT_ENTRY_POINTS = ("synthetic_benchmark", "dataset_report", "triangle_null_comparison")
+SCRIPT_ENTRY_POINTS = ("gap_report",)
 
 
 def entry_parser(entry: str) -> tuple[argparse.ArgumentParser, list[str]]:
@@ -230,6 +230,15 @@ class TestOneDeclaration:
         if entry in cli._COMMANDS:
             assert err.rstrip().endswith(f"motifemb {entry}")
 
+    @pytest.mark.parametrize("entry", ["linkpred", *SCRIPT_ENTRY_POINTS])
+    def test_repeated_file_key_exits_two(self, entry, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("dim=8\nseeds=1\n\ndim=16\n")
+        code, seen = captured_run(entry, ["--config", str(cfg)])
+        assert code == 2 and not seen
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:4: config key 'dim' repeats (first set on line 1)\n")
+
     @pytest.mark.parametrize("entry,name", DECLARED, ids="-".join)
     def test_declared_file_key_and_flag_reach_the_run(self, entry, name, tmp_path):
         value = non_default(name)
@@ -254,8 +263,7 @@ class TestOneDeclaration:
         assert err.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("entry,dim", [("synthetic_benchmark", 8), ("dataset_report", 16),
-                                           ("linkpred", 64)])
+    @pytest.mark.parametrize("entry,dim", [("gap_report", 8), ("linkpred", 64)])
     def test_help_shows_the_effective_default(self, entry, dim, capsys):
         parser, prefix = entry_parser(entry)
         with pytest.raises(SystemExit):
