@@ -162,6 +162,11 @@ UNDECLARED = [(entry, name) for entry in ENTRY_POINTS for name in RUN_DEFAULTS
               if name not in declared(entry)]
 
 
+def pair_ids(pairs) -> list[str]:
+    """``entry-name`` test ids for (entry point, setting) parametrizations."""
+    return [f"{entry}-{name}" for entry, name in pairs]
+
+
 def captured_run(entry: str, argv) -> tuple[int, list[RunConfig]]:
     """Exit code and the RunConfig handed to the entry point's command."""
     parser, prefix = entry_parser(entry)
@@ -219,7 +224,7 @@ class TestOneDeclaration:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
-    @pytest.mark.parametrize("entry,name", UNDECLARED, ids="-".join)
+    @pytest.mark.parametrize("entry,name", UNDECLARED, ids=pair_ids(UNDECLARED))
     def test_undeclared_file_key_exits_two(self, entry, name, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"# not a setting here\n{name}={non_default(name)}\n")
@@ -239,7 +244,7 @@ class TestOneDeclaration:
         assert capsys.readouterr().err == (
             f"error: {cfg}:4: config key 'dim' repeats (first set on line 1)\n")
 
-    @pytest.mark.parametrize("entry,name", DECLARED, ids="-".join)
+    @pytest.mark.parametrize("entry,name", DECLARED, ids=pair_ids(DECLARED))
     def test_declared_file_key_and_flag_reach_the_run(self, entry, name, tmp_path):
         value = non_default(name)
         assert value != declared(entry)[name]
@@ -269,6 +274,18 @@ class TestOneDeclaration:
         with pytest.raises(SystemExit):
             parser.parse_args([*prefix, "--help"])
         assert re.search(rf"--dim DIM\s+default: {dim}\n", capsys.readouterr().out)
+
+    @pytest.mark.parametrize("entry,name", DECLARED, ids=pair_ids(DECLARED))
+    def test_help_shows_each_declared_default(self, entry, name, capsys):
+        """--help gives every declared flag the default a run gets, the
+        entry point's own where it replaces RunConfig's."""
+        parser, prefix = entry_parser(entry)
+        with pytest.raises(SystemExit):
+            parser.parse_args([*prefix, "--help"])
+        text = " ".join(capsys.readouterr().out.split())  # undo line wrapping
+        flag = "--" + name.replace("_", "-")
+        shown = re.escape(f"default: {declared(entry)[name]!r}")
+        assert re.search(rf"{flag}(?: \S+)? {shown}(?: |$)", text), (flag, text)
 
     @pytest.mark.parametrize(
         "command,flag,value",
