@@ -8,7 +8,8 @@ statistics table, then per graph and task the mean AUC / silhouette per
 partition whose generator seed is --seed and whose block count is
 --clusters, also the k of clustering. With --datasets it is each named
 datasets/<NAME>.edges instead (see datasets/README.md; missing files are
-skipped).
+skipped), and the generator's --nodes-per-block and --triangles-per-block
+are an error.
 
 Settings are the CLI's: the `motifemb linkpred`/`cluster` flags that apply
 here (--algorithm and --seeds as comma lists, --mode, --fraction,
@@ -41,6 +42,8 @@ DATASET_DIR = Path(__file__).resolve().parent.parent / "datasets"
 DATASETS = ("wiki", "routers", "twitter", "facebook", "hamsterster", "openflights")
 DEFAULTS = dict(seed=5, seeds="0,1,2,3,4,5,6,7,8,9", dim=8, walks_per_node=4,
                 walk_length=20, window=3, negatives=3, epochs=2)
+# the planted partition's shape; --datasets runs reject these flags
+PARTITION_DEFAULTS = dict(nodes_per_block=300, triangles_per_block=200)
 # each task's report metric and the name its table goes by
 METRICS = {"linkpred": ("auc", "AUC"), "cluster": ("sc", "silhouette")}
 
@@ -49,8 +52,10 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     add_run_flags(ap, ("seed", "seeds", "algorithm", "mode", *HYPERPARAMETERS,
                        "fraction", "threshold", "clusters"), DEFAULTS)
-    ap.add_argument("--nodes-per-block", type=int, default=300, help="default: %(default)s")
-    ap.add_argument("--triangles-per-block", type=int, default=200, help="default: %(default)s")
+    # default None tells an omitted flag from a given one
+    for name, default in PARTITION_DEFAULTS.items():
+        ap.add_argument("--" + name.replace("_", "-"), type=int,
+                        help=f"default: {default}; planted partition only")
     ap.add_argument("--datasets", nargs="+", choices=DATASETS, metavar="NAME",
                     help=f"run datasets/NAME.edges, NAME one of {', '.join(DATASETS)}, "
                          "instead of the planted partition")
@@ -64,11 +69,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def load_graphs(run, args) -> dict:
     """{dataset name: graph}: the planted partition, or the --datasets present."""
+    given = {name: getattr(args, name) for name in PARTITION_DEFAULTS
+             if getattr(args, name) is not None}
     if not args.datasets:
-        g, _ = planted_partition(seed=run.seed, nodes_per_block=args.nodes_per_block,
-                                 blocks=run.clusters,
-                                 triangles_per_block=args.triangles_per_block)
+        g, _ = planted_partition(seed=run.seed, blocks=run.clusters,
+                                 **{**PARTITION_DEFAULTS, **given})
         return {"synthetic": g}
+    if given:
+        flags = " or ".join("--" + name.replace("_", "-") for name in given)
+        raise ValueError(f"--datasets takes no planted-partition flag: {flags}")
     graphs = {}
     for name in args.datasets:
         path = DATASET_DIR / f"{name}.edges"
@@ -96,7 +105,10 @@ def report(run, args) -> int:
         return 0
 
     config = run.train_config()
-    print(f"config: {dataclasses.asdict(config)}")
+    shown = dataclasses.asdict(config)
+    if args.datasets:
+        del shown["seed"]  # the generator seed; dataset runs read only --seeds
+    print(f"config: {shown}")
     print(f"seeds: {seeds}  motif mode: {run.mode}\n")
     tasks = ("linkpred", "cluster") if args.task == "both" else (args.task,)
     rows: list[dict] = []

@@ -56,7 +56,7 @@ def test_planted_partition_runs():
     proc = run_script(SCRIPT, *TINY_GRID, "--seeds", "0")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[1].split()[:3] == ["synthetic", "40", "171"]
-    assert "config: {'dim': 4," in proc.stdout
+    assert "config: {'dim': 4," in proc.stdout and "'seed': 5}" in proc.stdout
     assert "seeds: [0]" in proc.stdout
     assert "== synthetic: AUC over 1 seeds ==" in proc.stdout
     # 4 algorithms x 2 variants x 1 seed; the timing is on stderr alone
@@ -81,6 +81,16 @@ def test_stdout_is_byte_identical_on_rerun(tmp_path):
 def test_bad_setting_exits_two(flags):
     proc = run_script(SCRIPT, *TINY_GRID, *flags)
     assert_usage_error(proc)
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("flags", [["--nodes-per-block", "7"], ["--triangles-per-block", "0"],
+                                   ["--nodes-per-block", "300", "--triangles-per-block", "200"]],
+                         ids=["nodes-per-block", "triangles-per-block", "both-at-default"])
+def test_generator_flags_with_datasets_exit_two(flags):
+    proc = run_script(SCRIPT, "--datasets", "wiki", *flags)
+    assert_usage_error(proc)
+    assert all(flag in proc.stderr for flag in flags if flag.startswith("--"))
     assert proc.stdout == ""
 
 
@@ -132,6 +142,9 @@ def test_dataset_grid(ring_script, tmp_path):
         "--walks-per-node", "1", "--walk-length", "5", "--csv", str(out),
     )
     assert proc.returncode == 0, proc.stderr
+    # the generator seed is not a setting of a --datasets run
+    config_line = next(line for line in proc.stdout.splitlines() if line.startswith("config:"))
+    assert "'dim': 4," in config_line and "'seed'" not in config_line
     assert "== wiki: AUC over 2 seeds ==" in proc.stdout
     assert "== wiki: silhouette over 2 seeds ==" in proc.stdout
     with open(out, newline="") as fh:
