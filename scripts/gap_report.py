@@ -8,8 +8,8 @@ statistics table, then per graph and task the mean AUC / silhouette per
 partition whose generator seed is --seed and whose block count is
 --clusters, also the k of clustering. With --datasets it is each named
 datasets/<NAME>.edges instead (see datasets/README.md; missing files are
-skipped), and the generator's --nodes-per-block and --triangles-per-block
-are an error.
+skipped), and the generator's --seed (as a flag or a --config key),
+--nodes-per-block and --triangles-per-block are an error.
 
 Settings are the CLI's: the `motifemb linkpred`/`cluster` flags that apply
 here (--algorithm and --seeds as comma lists, --mode, --fraction,
@@ -34,7 +34,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from motifemb import graph_stats, load_edge_list
-from motifemb.cli import HYPERPARAMETERS, add_run_flags, run_command
+from motifemb.cli import HYPERPARAMETERS, RunConfig, add_run_flags, run_command
 from motifemb.pipeline import gap_table, run_report, write_report_csv
 from motifemb.synth import planted_partition
 
@@ -75,6 +75,10 @@ def load_graphs(run, args) -> dict:
         g, _ = planted_partition(seed=run.seed, blocks=run.clusters,
                                  **{**PARTITION_DEFAULTS, **given})
         return {"synthetic": g}
+    # the generator seed, as a flag or a config key; dataset runs read only --seeds
+    if args.seed is not None or (args.config_file and "seed" in RunConfig.read_file(
+            args.config_file, args.run_settings, args.run_entry)):
+        given["seed"] = run.seed
     if given:
         flags = " or ".join("--" + name.replace("_", "-") for name in given)
         raise ValueError(f"--datasets takes no planted-partition flag: {flags}")

@@ -12,6 +12,8 @@ coefficient under Euclidean distance.
 """
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -269,6 +271,14 @@ class SilhouetteReport:
 _SILHOUETTE_BLOCK_FLOATS = 1 << 22  # distances held at once: 32 MB of float64
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def silhouette_score(
     x: np.ndarray, labels: np.ndarray
 ) -> SilhouetteReport | list[SilhouetteReport]:
@@ -280,12 +290,15 @@ def silhouette_score(
     ``labels`` is one label per row of ``x`` (returns a SilhouetteReport)
     or a stacked (L, n) array of L labelings of those rows (returns a list
     of L reports). Every labeling is scored from one sweep over the
-    distances: blocks of max(1, 2**22 // n) columns of the n x n matrix,
-    so at most max(2**22, n) distances (32 MB up to 4M points) are held at
-    once. One sparse (clusters x n) membership product turns each block
-    into every cluster's distance sums, each summed over its members in
-    ascending index order, so a labeling's values do not depend on the
-    block size or on the labelings stacked with it.
+    distances in column blocks of the n x n matrix, which one worker thread
+    per usable CPU takes in turn (a single block runs inline). The workers
+    share a budget of 2**22 distances: blocks of
+    max(1, 2**22 // (workers * n)) columns, so about 2**22 distances (32 MB)
+    are held at once in all. One sparse (clusters x n) membership product
+    turns each block into every cluster's distance sums, each summed over
+    its members in ascending index order, so a labeling's values are the
+    same bytes whatever the block size, the CPU count or the labelings
+    stacked with it.
     """
     x = np.asarray(x, dtype=np.float64)
     labels = np.asarray(labels)
@@ -315,9 +328,12 @@ def silhouette_score(
     members = np.argsort(own, axis=None, kind="stable") % n
     membership = sp.csr_array((np.ones(members.size), members, np.r_[0, np.cumsum(sizes)]),
                               shape=(sizes.size, n))
-    step = max(1, _SILHOUETTE_BLOCK_FLOATS // n)
+    # one worker per usable CPU, at most one per block, sharing the budget
+    workers = min(_usable_cpus(), -(-n // max(1, _SILHOUETTE_BLOCK_FLOATS // n)))
+    step = max(1, _SILHOUETTE_BLOCK_FLOATS // (workers * n))
     values = np.zeros(stack.shape)
-    for lo in range(0, n, step):
+
+    def sweep(lo: int) -> None:  # fills values[:, lo:lo + step] and no other column
         hi = min(lo + step, n)
         own_block = own[:, lo:hi]
         at_own = (own_block, np.arange(hi - lo))
@@ -329,5 +345,13 @@ def silhouette_score(
         denom = np.maximum(a, b)
         np.divide(b - a, denom, out=values[:, lo:hi],
                   where=(sizes[own_block] > 1) & (denom > 0))
+
+    starts = range(0, n, step)
+    if workers == 1:
+        for lo in starts:
+            sweep(lo)
+    else:  # cdist and the sparse product release the GIL, so blocks overlap
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(sweep, starts))  # list() re-raises a block's error
     reports = [SilhouetteReport(v, float(v.mean())) for v in values]
     return reports if labels.ndim == 2 else reports[0]

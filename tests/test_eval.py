@@ -7,6 +7,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import tracemalloc
 from collections import deque
 from pathlib import Path
 
@@ -464,6 +466,23 @@ class TestKMeans:
         assert set(kmeans_cluster(x, k, seed=seed).tolist()) == set(range(k))
 
 
+def sweep_by_cpu_count(x, labels, budget) -> dict:
+    """{cpus: silhouette_score(x, labels)} under a distance budget of
+    ``budget`` floats, as seen by a process that may use 1, 2 or 3 CPUs. The
+    last budget of the brute-force tests makes 2 single-worker blocks, so 3
+    CPUs there is more workers than blocks. Checks that no worker thread
+    outlives its call."""
+    out = {}
+    for cpus in (1, 2, 3):
+        threads = threading.active_count()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evaluation, "_SILHOUETTE_BLOCK_FLOATS", budget)
+            mp.setattr(evaluation, "_usable_cpus", lambda: cpus)
+            out[cpus] = silhouette_score(x, labels)
+        assert threading.active_count() == threads
+    return out
+
+
 class TestSilhouette:
     def test_line_example(self):
         x = np.array([[0.0], [1.0], [9.0], [10.0]])
@@ -550,13 +569,15 @@ class TestSilhouette:
         # the default budget is one block; then one row per block, blocks of
         # 3 rows, and m - 1 rows followed by a 1-row final block
         for budget in (evaluation._SILHOUETTE_BLOCK_FLOATS, 1, 3 * m, m * (m - 1)):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(evaluation, "_SILHOUETTE_BLOCK_FLOATS", budget)
-                rep = silhouette_score(x, labels)
+            by_cpus = sweep_by_cpu_count(x, labels, budget)
+            rep = by_cpus[1]
             assert np.allclose(rep.values, expected, rtol=0, atol=1e-9)
             assert rep.score == pytest.approx(float(np.mean(expected)), abs=1e-9)
             assert np.all(rep.values >= -1 - 1e-12) and np.all(rep.values <= 1 + 1e-12)
             assert rep.score == pytest.approx(float(rep.values.mean()), abs=1e-15)
+            for other in by_cpus.values():
+                assert other.values.tobytes() == rep.values.tobytes()
+                assert other.score == rep.score
 
     @given(
         seed=st.integers(min_value=0, max_value=99_999),
@@ -586,9 +607,10 @@ class TestSilhouette:
         expected = [brute_silhouette_values(x, labels) for labels in stack]
         one_block = silhouette_score(x, stack)
         for budget in (evaluation._SILHOUETTE_BLOCK_FLOATS, 1, 3 * m, m * (m - 1)):
+            by_cpus = sweep_by_cpu_count(x, stack, budget)
+            reps = by_cpus[1]
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(evaluation, "_SILHOUETTE_BLOCK_FLOATS", budget)
-                reps = silhouette_score(x, stack)
                 alone = [silhouette_score(x, labels) for labels in stack]
                 permuted = silhouette_score(x, stack[perm])
             assert len(reps) == len(stack)
@@ -599,3 +621,25 @@ class TestSilhouette:
                 assert rep.score == alone[i].score
                 at = int(np.flatnonzero(perm == i)[0])
                 assert rep.values.tobytes() == permuted[at].values.tobytes()
+                for other in by_cpus.values():
+                    assert other[i].values.tobytes() == rep.values.tobytes()
+                    assert other[i].score == rep.score
+
+    def test_workers_share_the_distance_budget(self):
+        # about 2,000 points in 20 single-worker blocks: two workers halve the
+        # block width, so the distances in flight stay those of one block
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(2000, 3))
+        labels = rng.integers(0, 4, size=2000)
+        peaks = {}
+        for cpus in (1, 2):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(evaluation, "_SILHOUETTE_BLOCK_FLOATS", 2000 * 100)
+                mp.setattr(evaluation, "_usable_cpus", lambda: cpus)
+                tracemalloc.start()
+                try:
+                    silhouette_score(x, labels)
+                    peaks[cpus] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        assert peaks[2] <= 1.25 * peaks[1], peaks

@@ -85,12 +85,24 @@ def test_bad_setting_exits_two(flags):
 
 
 @pytest.mark.parametrize("flags", [["--nodes-per-block", "7"], ["--triangles-per-block", "0"],
-                                   ["--nodes-per-block", "300", "--triangles-per-block", "200"]],
-                         ids=["nodes-per-block", "triangles-per-block", "both-at-default"])
+                                   ["--nodes-per-block", "300", "--triangles-per-block", "200"],
+                                   ["--seed", "9"], ["--seed", "5"]],
+                         ids=["nodes-per-block", "triangles-per-block", "both-at-default",
+                              "seed", "seed-at-default"])
 def test_generator_flags_with_datasets_exit_two(flags):
     proc = run_script(SCRIPT, "--datasets", "wiki", *flags)
     assert_usage_error(proc)
     assert all(flag in proc.stderr for flag in flags if flag.startswith("--"))
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("seed", ["9", "5"], ids=["seed", "seed-at-default"])
+def test_generator_seed_in_config_with_datasets_exits_two(seed, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seeds=0\nseed={seed}\n")
+    proc = run_script(SCRIPT, "--datasets", "wiki", "--config", str(cfg))
+    assert_usage_error(proc)
+    assert "--seed" in proc.stderr
     assert proc.stdout == ""
 
 
