@@ -227,12 +227,24 @@ def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     return centers
 
 
+def _membership(own: np.ndarray, sizes: np.ndarray) -> sp.csr_array:
+    """The (clusters x n) 0/1 CSR whose row c stores cluster c's points in
+    ascending index order, from each point's cluster ``own`` (an (L, n) stack
+    numbers all L labelings' clusters in one sequence) and the cluster sizes.
+    A CSR x dense product sums each row in stored order."""
+    members = np.argsort(own, axis=None, kind="stable") % own.shape[-1]
+    return sp.csr_array((np.ones(members.size), members, np.r_[0, np.cumsum(sizes)]),
+                        shape=(sizes.size, own.shape[-1]))
+
+
 def kmeans_cluster(x: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     """Lloyd iterations from a k-means++ start; returns integer labels.
 
-    An emptied cluster is re-seeded at the point farthest from its assigned
-    center among the points whose cluster keeps another member, so exactly
-    k clusters stay nonempty even when several empty in one iteration.
+    An emptied cluster is re-seeded, in ascending cluster order, at the point
+    farthest from its assigned center among the points whose cluster keeps
+    another member, so exactly k clusters stay nonempty even when several
+    empty in one iteration. Each center then moves to the mean of its final
+    members, so a donor's center leaves out the point it gave up.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
@@ -240,21 +252,16 @@ def kmeans_cluster(x: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
         raise ValueError(f"need 1 <= k <= {n}")
     rng = np.random.default_rng(seed)
     centers = _kmeanspp_init(x, k, rng)
-    labels = np.zeros(n, dtype=np.int64)
+    d2 = np.empty((n, k))
     for _ in range(KMEANS_MAX_ITER):
-        d2 = cdist(x, centers, "sqeuclidean")
+        cdist(x, centers, "sqeuclidean", out=d2)
         labels = d2.argmin(axis=1)
-        new_centers = centers.copy()
-        for j in range(k):
-            members = labels == j
-            if members.any():
-                new_centers[j] = x[members].mean(axis=0)
-            else:
-                donor = np.bincount(labels, minlength=k)[labels] > 1
-                far = np.where(donor, d2[np.arange(n), labels], -np.inf)
-                worst = int(np.argmax(far))
-                new_centers[j] = x[worst]
-                labels[worst] = j
+        counts = np.bincount(labels, minlength=k)
+        for j in np.flatnonzero(counts == 0):
+            far = np.where(counts[labels] > 1, d2[np.arange(n), labels], -np.inf)
+            labels[int(np.argmax(far))] = j
+            counts = np.bincount(labels, minlength=k)
+        new_centers = _membership(labels, counts) @ x / counts[:, None]
         shift = float(np.linalg.norm(new_centers - centers, axis=1).max())
         centers = new_centers
         if shift < KMEANS_TOL:
@@ -323,11 +330,7 @@ def silhouette_score(
         sizes.append(counts)
         first.append(first[-1] + counts.size)
     sizes = np.concatenate(sizes)
-    # a stable sort stores each cluster's members in ascending index order,
-    # and the CSR x dense product sums every row in stored order
-    members = np.argsort(own, axis=None, kind="stable") % n
-    membership = sp.csr_array((np.ones(members.size), members, np.r_[0, np.cumsum(sizes)]),
-                              shape=(sizes.size, n))
+    membership = _membership(own, sizes)
     # one worker per usable CPU, at most one per block, sharing the budget
     workers = min(_usable_cpus(), -(-n // max(1, _SILHOUETTE_BLOCK_FLOATS // n)))
     step = max(1, _SILHOUETTE_BLOCK_FLOATS // (workers * n))

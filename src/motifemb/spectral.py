@@ -37,28 +37,23 @@ def smallest_eigenpairs(lap: sp.csr_matrix, k: int) -> tuple[np.ndarray, np.ndar
     n = lap.shape[0]
     if k < 1 or k > n:
         raise ValueError(f"need 1 <= k <= {n}, got {k}")
-    if n <= DENSE_CUTOFF or k >= n - 1:
-        vals, vecs = np.linalg.eigh(lap.toarray())
-        return vals[:k], vecs[:, :k]
-    v0 = np.random.default_rng(0).random(n)
-    try:
-        vals, vecs = eigsh(lap, k=k, which="SA", v0=v0)
-    except ArpackNoConvergence:
-        vals, vecs = np.linalg.eigh(lap.toarray())
-        return vals[:k], vecs[:, :k]
-    order = np.argsort(vals)
-    return vals[order], vecs[:, order]
+    if n > DENSE_CUTOFF and k < n - 1:
+        try:
+            vals, vecs = eigsh(lap, k=k, which="SA", v0=np.random.default_rng(0).random(n))
+        except ArpackNoConvergence:
+            pass  # the dense solver below
+        else:
+            order = np.argsort(vals)
+            return vals[order], vecs[:, order]
+    vals, vecs = np.linalg.eigh(lap.toarray())
+    return vals[:k], vecs[:, :k]
 
 
 def _fix_signs(vecs: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """First component of magnitude above tol made positive, per column."""
-    vecs = vecs.copy()
-    for j in range(vecs.shape[1]):
-        col = vecs[:, j]
-        nz = np.flatnonzero(np.abs(col) > tol)
-        if nz.size and col[nz[0]] < 0:
-            vecs[:, j] = -col
-    return vecs
+    first = (np.abs(vecs) > tol).argmax(axis=0)  # row 0 where none is above tol
+    lead = vecs[first, np.arange(vecs.shape[1])]
+    return vecs * np.where(lead < -tol, -1.0, 1.0)  # exact: only signs change
 
 
 def _check_residuals(lap, vals, vecs) -> None:

@@ -16,7 +16,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.sparse.csgraph import connected_components
+from scipy.spatial.distance import cdist
 from scipy.stats import rankdata
 
 from motifemb import (
@@ -419,6 +421,30 @@ class TestComputeMetrics:
         assert parts["accuracy"] == 0.5
 
 
+def loop_kmeans(x: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """Plain-loop k-means: every emptied cluster re-seeded in ascending order
+    (farthest point from its assigned center among those whose cluster keeps
+    another member), then one masked mean per cluster."""
+    n = x.shape[0]
+    centers = evaluation._kmeanspp_init(x, k, np.random.default_rng(seed))
+    for _ in range(evaluation.KMEANS_MAX_ITER):
+        d2 = cdist(x, centers, "sqeuclidean")
+        labels = d2.argmin(axis=1)
+        for j in range(k):
+            if not (labels == j).any():
+                donor = np.bincount(labels, minlength=k)[labels] > 1
+                far = np.where(donor, d2[np.arange(n), labels], -np.inf)
+                labels[int(np.argmax(far))] = j
+        new_centers = centers.copy()
+        for j in range(k):
+            new_centers[j] = x[labels == j].mean(axis=0)
+        shift = float(np.linalg.norm(new_centers - centers, axis=1).max())
+        centers = new_centers
+        if shift < evaluation.KMEANS_TOL:
+            break
+    return labels
+
+
 class TestKMeans:
     def test_two_point_masses_split_exactly(self):
         x = np.array([[0.0, 0.0]] * 5 + [[10.0, 10.0]] * 5)
@@ -464,6 +490,32 @@ class TestKMeans:
         x = np.asarray(points, dtype=np.float64)[:, None]
         k = min(k, x.shape[0])
         assert set(kmeans_cluster(x, k, seed=seed).tolist()) == set(range(k))
+
+    @given(
+        points=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1)), min_size=2, max_size=40),
+        k=st.integers(min_value=1, max_value=12),
+        seed=st.integers(min_value=0, max_value=9999),
+    )
+    @example(points=[(0, 0)] * 3 + [(1, 0)] * 3, k=4, seed=0)  # two clusters empty at once
+    @settings(max_examples=200, deadline=None)
+    def test_matches_plain_loop_on_repeated_points(self, points, k, seed):
+        # few distinct points and many clusters: clusters empty and get re-seeded
+        x = np.asarray(points, dtype=np.float64)
+        k = min(k, x.shape[0])
+        got, want = kmeans_cluster(x, k, seed=seed), loop_kmeans(x, k, seed)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @given(
+        x=hnp.arrays(np.float64, st.tuples(st.integers(2, 60), st.integers(1, 5)),
+                     elements=st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)),
+        k=st.integers(min_value=1, max_value=8),
+        seed=st.integers(min_value=0, max_value=9999),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_plain_loop_on_real_data(self, x, k, seed):
+        k = min(k, x.shape[0])
+        got, want = kmeans_cluster(x, k, seed=seed), loop_kmeans(x, k, seed)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def sweep_by_cpu_count(x, labels, budget) -> dict:

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from motifemb import (
     Graph,
@@ -15,9 +17,11 @@ from motifemb import (
     train_spectral,
     unit_adjacency,
 )
+from motifemb import spectral
 from motifemb.motifs import WeightedAdjacency, _assemble
 from motifemb.spectral import (
     RESIDUAL_TOL,
+    _fix_signs,
     normalized_laplacian,
     smallest_eigenpairs,
 )
@@ -36,6 +40,18 @@ def scaled_adjacency(g: Graph, factor: float) -> WeightedAdjacency:
         edge_weights=per_edge,
         matrix=_assemble(g, per_edge),
     )
+
+
+def loop_fix_signs(vecs: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """Column by column: negate it when its first entry of magnitude above
+    tol is negative."""
+    vecs = vecs.copy()
+    for j in range(vecs.shape[1]):
+        col = vecs[:, j]
+        nz = np.flatnonzero(np.abs(col) > tol)
+        if nz.size and col[nz[0]] < 0:
+            vecs[:, j] = -col
+    return vecs
 
 
 class TestLaplacian:
@@ -99,6 +115,17 @@ class TestEigenpairs:
         res = lap @ vecs - vecs * vals
         assert np.linalg.norm(res, axis=0).max() <= RESIDUAL_TOL
 
+    def test_no_arpack_convergence_falls_back_to_dense(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+        lap = normalized_laplacian(unit_adjacency(ring(300)))
+        monkeypatch.setattr(spectral, "eigsh", no_convergence)
+        vals, vecs = smallest_eigenpairs(lap, 4)
+        dense_vals, dense_vecs = np.linalg.eigh(lap.toarray())
+        assert vals.tobytes() == dense_vals[:4].tobytes()
+        assert vecs.tobytes() == dense_vecs[:, :4].tobytes()
+
     def test_arpack_determinism(self):
         lap = normalized_laplacian(unit_adjacency(ring(300)))
         _, a = smallest_eigenpairs(lap, 3)
@@ -115,6 +142,19 @@ class TestTrainSpectral:
             nz = np.flatnonzero(np.abs(col) > 1e-12)
             if nz.size:
                 assert col[nz[0]] > 0
+
+    @given(
+        vecs=hnp.arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(0, 6)),
+                        elements=st.sampled_from([0.0, -0.0, 1e-13, -1e-13, 1e-12, -1e-12,
+                                                  2e-12, -2e-12, 0.5, -0.5, -3.0]))
+        | hnp.arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(0, 6)),
+                     elements=st.floats(-2.0, 2.0, allow_subnormal=False)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_fix_signs_matches_column_loop(self, vecs):
+        # leading entries of zero, below tol or exactly at tol must not decide
+        got = _fix_signs(vecs)
+        assert got.shape == vecs.shape and got.tobytes() == loop_fix_signs(vecs).tobytes()
 
     def test_dim_must_be_below_node_count(self, k4):
         with pytest.raises(ValueError):
