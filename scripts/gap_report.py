@@ -34,7 +34,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from motifemb import graph_stats, load_edge_list
-from motifemb.cli import HYPERPARAMETERS, RunConfig, add_run_flags, run_command
+from motifemb.cli import HYPERPARAMETERS, add_run_flags, run_command
 from motifemb.pipeline import gap_table, run_report, write_report_csv
 from motifemb.synth import planted_partition
 
@@ -76,8 +76,7 @@ def load_graphs(run, args) -> dict:
                                  **{**PARTITION_DEFAULTS, **given})
         return {"synthetic": g}
     # the generator seed, as a flag or a config key; dataset runs read only --seeds
-    if args.seed is not None or (args.config_file and "seed" in RunConfig.read_file(
-            args.config_file, args.run_settings, args.run_entry)):
+    if "seed" in args.run_given:
         given["seed"] = run.seed
     if given:
         flags = " or ".join("--" + name.replace("_", "-") for name in given)

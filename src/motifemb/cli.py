@@ -328,17 +328,17 @@ def build_parser() -> argparse.ArgumentParser:
 def run_command(parser: argparse.ArgumentParser, argv, command) -> int:
     """``command(run, args)`` for ``argv`` parsed by an ``add_run_flags`` parser:
     ``run`` merges the declared defaults <- --config file <- explicit flags,
-    validated once. Bad input there or in ``command`` prints ``error: ...``,
+    validated once, and ``args.run_given`` names the settings that the file
+    or a flag set. Bad input there or in ``command`` prints ``error: ...``,
     returns 2."""
     args = parser.parse_args(argv)
     try:
-        values = dict(args.run_settings)
-        if args.config_file:
-            values.update(RunConfig.read_file(args.config_file, args.run_settings,
-                                              args.run_entry))
-        values.update((key, value) for key, value in vars(args).items()
-                      if key in args.run_settings and value is not None)
-        return command(RunConfig(**values), args)
+        given = (RunConfig.read_file(args.config_file, args.run_settings, args.run_entry)
+                 if args.config_file else {})
+        given.update((key, value) for key, value in vars(args).items()
+                     if key in args.run_settings and value is not None)
+        args.run_given = frozenset(given)
+        return command(RunConfig(**{**args.run_settings, **given}), args)
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -63,7 +63,7 @@ def save_embedding_text(emb: EmbeddingMatrix, path, labels=None) -> None:
         lines.append(f"# {key}={value}")
     lines.append(f"{emb.node_count} {emb.dim}")
     for label, row in zip(_labels_for(emb, labels), emb.vectors):
-        lines.append(label + " " + " ".join(repr(float(x)) for x in row))
+        lines.append(label + " " + " ".join(map(repr, row.tolist())))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -106,6 +106,27 @@ def test_generator_seed_in_config_with_datasets_exits_two(seed, tmp_path):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["--datasets", "wiki"], 2),
+    (["--nodes-per-block", "10", "--triangles-per-block", "2", "--stats-only"], 0),
+], ids=["datasets-seed", "planted-partition"])
+def test_config_file_is_read_once(argv, code, tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seeds=0\nseed=9\n")
+    read = cli.RunConfig.read_file.__func__
+    calls = []
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args[0])
+        return read(cls, *args, **kwargs)
+
+    monkeypatch.setattr(cli.RunConfig, "read_file", classmethod(counting))
+    assert load_script("gap_report").main([*argv, "--config", str(cfg)]) == code
+    assert calls == [str(cfg)]
+    if code == 2:  # the file's seed is still seen as given
+        assert "--seed" in capsys.readouterr().err
+
+
 def test_reads_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("dim=6\nseeds=1\nalgorithm=spectral\n")

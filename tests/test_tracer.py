@@ -8,7 +8,7 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-from motifemb import TrainConfig, cli, pipeline, planted_partition
+from motifemb import TrainConfig, cli, pipeline, planted_partition, write_edge_list
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "benchmark"))
 from tracer import Tracer  # noqa: E402
@@ -35,6 +35,31 @@ def test_reports_and_embed_run_under_tracer(tmp_path):
         tracer.uninstall()
     assert code == 0
     for key in ("walks.tokens", "sgns.updates", "line.samples"):
+        assert layers[key] > 0, key
+
+
+def test_cli_motifs_and_embed_on_a_file_run_under_tracer(tmp_path):
+    # the cli-skewed workload's path: a parsed edge list, a rewired null
+    # model and node2vec's biased walks, whose hooks bind ``path`` and ``g``
+    g, _ = planted_partition(seed=0, nodes_per_block=30, blocks=2, triangles_per_block=15)
+    edges = tmp_path / "g.edges"
+    write_edge_list(g, edges)
+    tracer = Tracer("test")
+    tracer.install()
+    try:
+        tracer.begin_rep(0)
+        codes = [cli.main(["motifs", "--input", str(edges), "--null-model", "2",
+                           "--swaps-per-edge", "1", "--out", str(tmp_path / "motifs.json")]),
+                 cli.main(["embed", "--input", str(edges), "--algorithm", "node2vec",
+                           "--variant", "mo", "--q", "0.5", "--dim", "4", "--walks-per-node", "1",
+                           "--walk-length", "5", "--epochs", "1",
+                           "--out", str(tmp_path / "emb.txt")])]
+        layers = tracer.rep_layers()
+    finally:
+        tracer.uninstall()
+    assert codes == [0, 0]
+    for key in ("graph.load_edge_list.lines", "graph.null_model_rewire.edges",
+                "walks.tokens", "embedding.bytes_written"):
         assert layers[key] > 0, key
 
 
