@@ -297,9 +297,9 @@ def silhouette_score(
     ``labels`` is one label per row of ``x`` (returns a SilhouetteReport)
     or a stacked (L, n) array of L labelings of those rows (returns a list
     of L reports). Every labeling is scored from one sweep over the
-    distances in column blocks of the n x n matrix, which one worker thread
-    per usable CPU takes in turn (a single block runs inline). The workers
-    share a budget of 2**22 distances: blocks of
+    distances in column blocks of the n x n matrix, which a pool of one
+    worker thread per usable CPU, and no more than there are blocks, takes
+    in turn. The workers share a budget of 2**22 distances: blocks of
     max(1, 2**22 // (workers * n)) columns, so about 2**22 distances (32 MB)
     are held at once in all. One sparse (clusters x n) membership product
     turns each block into every cluster's distance sums, each summed over
@@ -349,12 +349,8 @@ def silhouette_score(
         np.divide(b - a, denom, out=values[:, lo:hi],
                   where=(sizes[own_block] > 1) & (denom > 0))
 
-    starts = range(0, n, step)
-    if workers == 1:
-        for lo in starts:
-            sweep(lo)
-    else:  # cdist and the sparse product release the GIL, so blocks overlap
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(sweep, starts))  # list() re-raises a block's error
+    # cdist and the sparse product release the GIL, so blocks overlap
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(sweep, range(0, n, step)))  # list() re-raises a block's error
     reports = [SilhouetteReport(v, float(v.mean())) for v in values]
     return reports if labels.ndim == 2 else reports[0]

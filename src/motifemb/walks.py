@@ -1,4 +1,4 @@
-"""First-order and second-order (return/in-out biased) random walk corpora."""
+"""First-order and second-order (return/in-out biased) walk corpora, from one lockstep walker."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -10,6 +10,9 @@ from .graph import Graph
 from .motifs import TransitionModel, uniform_transitions
 
 __all__ = ["WalkCorpus", "generate_walks", "node2vec_walks"]
+
+# most candidates a second-order step weighs at once
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,10 +36,23 @@ class WalkCorpus:
         return int(np.count_nonzero(self.tokens >= 0))
 
 
-def _first_order_walks(model: TransitionModel, config: TrainConfig) -> WalkCorpus:
+def _degree_blocks(deg: np.ndarray):
+    """(d, at) per block of the positions ``at`` where ``deg`` holds d > 0,
+    at most max(1, _BLOCK // d) positions a block, grouped by one argsort."""
+    order = np.argsort(deg, kind="stable")
+    ranked = deg[order]
+    starts = np.flatnonzero(np.diff(ranked, prepend=0))  # the zeros in front start none
+    for lo, hi, d in zip(starts, [*starts[1:], ranked.size], ranked[starts]):
+        for at in range(lo, hi, max(1, _BLOCK // d)):
+            yield d, order[at:min(at + max(1, _BLOCK // d), hi)]
+
+
+def _walks(g: Graph, transitions: TransitionModel | None, config: TrainConfig,
+           second_order: bool) -> WalkCorpus:
     """Advances every walker of a pass in lockstep. Only isolated starts stop
     early, so one ``rng.random((live, walk_length - 1))`` per pass, read
     column by column, is the stream of drawing one step at a time."""
+    model = transitions if transitions is not None else uniform_transitions(g)
     rng = np.random.default_rng(config.seed)
     n, length = model.node_count, config.walk_length
     deg = np.diff(model.indptr)
@@ -44,18 +60,37 @@ def _first_order_walks(model: TransitionModel, config: TrainConfig) -> WalkCorpu
     # 2-D block: that adds in 1-D order, so each value is bit-exact (a
     # global cumsum minus row offsets is not)
     cum = np.empty_like(model.probs)
-    for d in np.unique(deg[deg > 0]):
-        pos = model.indptr[:-1][deg == d, None] + np.arange(d)
+    for d, nodes in _degree_blocks(deg):
+        pos = model.indptr[nodes, None] + np.arange(d)
         cum[pos] = np.cumsum(model.probs[pos], axis=1)
     strides = [1 << s for s in reversed(range(int(deg.max(initial=0)).bit_length()))]
+    inv_p, inv_q = 1.0 / config.p, 1.0 / config.q
+    # g's sorted CSR keys: t is adjacent to x iff t * n + x is one of them
+    keys = np.repeat(np.arange(n), g.degrees) * n + g.indices if second_order else None
     tokens = np.full((config.walks_per_node, n, length), -1, dtype=np.int64)
     for rows in tokens:
         rows[:, 0] = rng.permutation(n)
         live = np.flatnonzero(deg[rows[:, 0]] > 0)
         draws = rng.random((live.size, length - 1))
         for step in range(1, length):
-            here = rows[live, step - 1]
-            lo, d, u = model.indptr[here], deg[here], draws[:, step - 1]
+            here, u = rows[live, step - 1], draws[:, step - 1]
+            if second_order and step > 1:
+                # the walkers on degree-d nodes weigh their candidates as
+                # (walkers x d) blocks; 2-D row sums and cumsums add in the
+                # order of the 1-D calls, so each row is the one-walker step's
+                for d, at in _degree_blocks(deg[here]):
+                    pos = model.indptr[here[at], None] + np.arange(d)
+                    cand, t = model.indices[pos], rows[live[at], step - 2, None]
+                    key = t * n + cand
+                    adjacent = keys[np.minimum(np.searchsorted(keys, key), keys.size - 1)] == key
+                    alpha = np.where(cand == t, inv_p, np.where(adjacent, 1.0, inv_q))
+                    w = alpha * model.masses[pos]
+                    cdf = np.cumsum(w / w.sum(axis=1, keepdims=True), axis=1)
+                    # searchsorted(row's cdf, u, "right"), clamped to d - 1
+                    j = np.minimum(np.count_nonzero(cdf <= u[at, None], axis=1), d - 1)
+                    rows[live[at], step] = cand[np.arange(at.size), j]
+                continue
+            lo, d = model.indptr[here], deg[here]
             # branchless min(searchsorted(row's cum, u, "right"), d - 1)
             j = np.zeros(live.size, dtype=np.int64)
             for stride in strides:
@@ -76,8 +111,7 @@ def generate_walks(
     Starts walks_per_node passes over a reshuffled node order; deterministic
     per config.seed.
     """
-    model = transitions if transitions is not None else uniform_transitions(g)
-    return _first_order_walks(model, config)
+    return _walks(g, transitions, config, second_order=False)
 
 
 def node2vec_walks(
@@ -90,37 +124,11 @@ def node2vec_walks(
 
     From the previous step (t -> v), candidate x gets unnormalized weight
     alpha(t, x) * base(v, x): alpha is 1/p when x == t, 1 when x is adjacent
-    to t, 1/q otherwise; base is the transition model's unnormalized mass
-    (all ones when transitions is None, recovering plain node2vec). The first
-    step is first-order. At p = q = 1 these are generate_walks' walks, drawn
-    from the same generator stream.
+    to t in g, 1/q otherwise; base is the transition model's unnormalized
+    mass (all ones when transitions is None, recovering plain node2vec). The
+    first step is first-order. Walkers step in lockstep, on the stream of a
+    one-walker loop; at p = q = 1 these are generate_walks' walks.
     """
-    model = transitions if transitions is not None else uniform_transitions(g)
-    if config.p == config.q == 1:
-        # not generate_walks: a wrapper on the public walkers (as in
-        # benchmark/tracer.py) must see each corpus built exactly once
-        return _first_order_walks(model, config)
-    rng = np.random.default_rng(config.seed)
-    inv_p, inv_q = 1.0 / config.p, 1.0 / config.q
-    length = config.walk_length
-    tokens = np.full((config.walks_per_node, g.node_count, length), -1, dtype=np.int64)
-    for rows in tokens:
-        for walk, start in zip(rows, rng.permutation(g.node_count)):
-            walk[0] = start
-            for step in range(1, length):
-                lo, hi = model.indptr[walk[step - 1]], model.indptr[walk[step - 1] + 1]
-                if lo == hi:
-                    break
-                cand = model.indices[lo:hi]
-                if step == 1:
-                    probs = model.probs[lo:hi]
-                else:
-                    t = walk[step - 2]
-                    t_nbrs = g.neighbors(t)
-                    pos = np.minimum(np.searchsorted(t_nbrs, cand), t_nbrs.size - 1)
-                    alpha = np.where(cand == t, inv_p, np.where(t_nbrs[pos] == cand, 1.0, inv_q))
-                    w = alpha * model.masses[lo:hi]
-                    probs = w / w.sum()
-                j = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
-                walk[step] = cand[min(j, cand.size - 1)]
-    return WalkCorpus(tokens.reshape(-1, length), config.walks_per_node, length)
+    # not generate_walks: a wrapper on the public walkers (as in
+    # benchmark/tracer.py) must see each corpus built exactly once
+    return _walks(g, transitions, config, second_order=not config.p == config.q == 1)

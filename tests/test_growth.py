@@ -4,6 +4,7 @@ Peaks are allocation counts, not wall time, so the checks are deterministic."""
 from __future__ import annotations
 
 import tracemalloc
+from dataclasses import replace
 
 from motifemb import (
     Graph,
@@ -13,6 +14,7 @@ from motifemb import (
     generate_walks,
     kmeans_cluster,
     make_split,
+    node2vec_walks,
     null_model_rewire,
     planted_partition,
     save_embedding_text,
@@ -58,6 +60,8 @@ def stage_peaks(nodes_per_block: int, tmp_path) -> tuple[int, dict[str, int]]:
     stats = run("count_triangles", lambda: count_triangles(g))
     model = run("build_transition_model", lambda: build_transition_model(g, stats))
     corpus = run("generate_walks", lambda: generate_walks(g, model, CONFIG))
+    # second-order steps weigh blocks of candidates, capped in size
+    run("node2vec_walks", lambda: node2vec_walks(g, model, replace(CONFIG, q=0.5)))
     run("extract_pairs", lambda: extract_pairs(corpus, CONFIG.window))
     emb = run("train_sgns", lambda: train_sgns(corpus, CONFIG, g.node_count))
     run("train_line", lambda: train_line(g, None, CONFIG))

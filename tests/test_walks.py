@@ -1,10 +1,14 @@
 """Walk corpora: shape/edge invariants, empirical step distributions
 (chi-square against the transition rows), second-order biasing behavior,
 the p = q = 1 reduction to first-order walks, and byte identity of walks,
-pairs and noise with the one-walk-at-a-time reference."""
+pairs and noise with the one-walk-at-a-time reference, at hubs and at any
+second-order block size too."""
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
@@ -19,6 +23,7 @@ from motifemb import (
     node2vec_walks,
 )
 from motifemb.sgns import extract_pairs, noise_distribution
+from motifemb.walks import _BLOCK
 
 from conftest import er_graph
 
@@ -201,3 +206,41 @@ class TestReference:
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
             assert (noise_distribution(corpus, g.node_count).tobytes()
                     == ref.noise_distribution(walks, g.node_count).tobytes())
+
+
+@functools.cache
+def hub_graph() -> Graph:
+    """Hubs of 1,201 and 151 neighbours, whose rows numpy sums pairwise in
+    blocks of 128 terms (the ER graphs above stay under 128), with random
+    leaf-leaf edges closing triangles at both, and 3 isolated nodes."""
+    rng = np.random.default_rng(0)
+    edges = [(0, 1), *((0, x) for x in range(2, 1202)), *((1, x) for x in range(2, 302, 2))]
+    edges += zip(rng.integers(2, 1202, 900).tolist(), rng.integers(2, 1202, 900).tolist())
+    return Graph.from_edges(1205, edges)
+
+
+class TestHubReference:
+    def test_block_row_sums_and_cumsums_are_the_1d_calls(self):
+        # second-order steps rest on this: numpy adds each row of a 2-D
+        # block in the order it adds that row alone, pairwise past 8 and
+        # 128 terms alike, so a step's weights do not depend on its block
+        rng = np.random.default_rng(0)
+        for d in (1, 7, 8, 9, 127, 128, 129, 1201, 8193):
+            w = rng.random((3, d))
+            for row, total, cdf in zip(w, w.sum(axis=1), np.cumsum(w, axis=1)):
+                assert total == row.sum() and np.array_equal(cdf, np.cumsum(row))
+
+    @pytest.mark.parametrize("mode", [None, "strict", "smoothed"])
+    @pytest.mark.parametrize("pq", [(2.0, 0.5), (0.5, 2.0), (1.0, 0.25)])
+    def test_tokens_match_at_any_block(self, mode, pq):
+        g = hub_graph()
+        assert sorted(g.degrees)[-2:] == [151, 1201]
+        tm = None if mode is None else build_transition_model(g, count_triangles(g), mode)
+        for walk_length in (1, 2, 4):
+            cfg = walk_config(walks_per_node=1, walk_length=walk_length, p=pq[0], q=pq[1],
+                              seed=walk_length)
+            want = ref.padded(ref.node2vec_walks(g, tm, cfg), walk_length)
+            for block in (1, 7, _BLOCK):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr("motifemb.walks._BLOCK", block)
+                    assert np.array_equal(node2vec_walks(g, tm, cfg).tokens, want), block
