@@ -212,7 +212,6 @@ def cmd_motifs(run: RunConfig) -> int:
 
 def cmd_embed(run: RunConfig) -> int:
     """train one embedding and write it out"""
-    g, _ = _load_graph(run)
     algorithms = run.algorithm_list()
     if len(algorithms) != 1:
         raise ValueError("embed needs exactly one --algorithm")
@@ -221,6 +220,7 @@ def cmd_embed(run: RunConfig) -> int:
         raise ValueError("embed needs exactly one --variant (base or mo)")
     if not run.out:
         raise ValueError("embed needs --out FILE")
+    g, _ = _load_graph(run)  # read only once the settings hold
     emb = embed_graph(g, algorithms[0], variants[0], run.train_config(), run.mode)
     if run.emb_format == "binary":
         save_embedding_binary(emb, run.out)
@@ -230,18 +230,20 @@ def cmd_embed(run: RunConfig) -> int:
 
 
 def _report_command(run: RunConfig, task: str) -> int:
-    g, dataset = _load_graph(run)
+    algorithms, variants = run.algorithm_list(), run.variant_list()
+    seeds, threshold = run.seed_list(), run.threshold_value()
+    g, dataset = _load_graph(run)  # read only once the settings hold
     rows = run_report(
         g,
         dataset,
         task,
-        algorithms=run.algorithm_list(),
-        variants=run.variant_list(),
-        seeds=run.seed_list(),
+        algorithms=algorithms,
+        variants=variants,
+        seeds=seeds,
         config=run.train_config(),
         fraction=run.fraction,
         mode=run.mode,
-        threshold=run.threshold_value(),
+        threshold=threshold,
         clusters=run.clusters,
     )
     if run.format == "csv":

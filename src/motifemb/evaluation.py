@@ -95,15 +95,14 @@ def make_split(
     n = g.node_count
     if n * (n - 1) // 2 - m < removed.size:
         raise ValueError("graph too dense to sample matching non-edges")
-    # g.edges is sorted by the key u * n + v, so membership is one searchsorted
-    edge_keys = g.edges[:, 0] * n + g.edges[:, 1]
     chosen = np.empty(0, dtype=np.int64)  # accepted keys, in draw order
     while chosen.size < removed.size:
         draw = rng.integers(0, n, size=(2 * removed.size, 2))
         lo, hi = draw.min(axis=1), draw.max(axis=1)
         keys = (lo * n + hi)[lo != hi]
-        at = np.minimum(np.searchsorted(edge_keys, keys), m - 1)
-        pool = np.concatenate([chosen, keys[edge_keys[at] != keys]])
+        # g.edge_keys is sorted, so membership is one searchsorted
+        at = np.minimum(np.searchsorted(g.edge_keys, keys), m - 1)
+        pool = np.concatenate([chosen, keys[g.edge_keys[at] != keys]])
         # first occurrences of keys not accepted before, in draw order
         _, first = np.unique(pool, return_index=True)
         fresh = np.sort(first[first >= chosen.size])[: removed.size - chosen.size]

@@ -35,7 +35,9 @@ class Graph:
     ``indptr``/``indices`` are the usual CSR neighbor arrays; every neighbor
     list is strictly ascending. ``edge_ids[p]`` is the row of ``edges``
     stored at CSR position p, so ``values[edge_ids]`` spreads one value per
-    edge onto both of its positions. ``labels[i]`` is the external
+    edge onto both of its positions. ``edge_keys[r]`` is the int64 key
+    ``u * node_count + v`` of row r of ``edges``, so the keys are sorted and
+    edge membership is one ``searchsorted``. ``labels[i]`` is the external
     identifier the node carried in its source file (None for synthetic
     graphs).
 
@@ -48,6 +50,7 @@ class Graph:
     indptr: np.ndarray
     indices: np.ndarray
     edge_ids: np.ndarray
+    edge_keys: np.ndarray
     labels: tuple[str, ...] | None = None
 
     @classmethod
@@ -80,12 +83,12 @@ class Graph:
         keys = np.unique((lo * node_count + hi)[lo != hi])
         canon = np.stack(np.divmod(keys, node_count), axis=1)
         indptr, indices, edge_ids = _build_csr(node_count, canon)
-        for a in (canon, indptr, indices, edge_ids):
+        for a in (canon, indptr, indices, edge_ids, keys):
             a.setflags(write=False)
         lab = tuple(labels) if labels is not None else None
         if lab is not None and len(lab) != node_count:
             raise ValueError("labels length must equal node_count")
-        return cls(node_count, canon, indptr, indices, edge_ids, lab)
+        return cls(node_count, canon, indptr, indices, edge_ids, keys, lab)
 
     @property
     def edge_count(self) -> int:
@@ -246,30 +249,31 @@ def null_model_rewire(g: Graph, swaps_per_edge: int, seed: int) -> Graph:
     if swaps_per_edge < 1:
         raise ValueError("swaps_per_edge must be >= 1")
     rng = np.random.default_rng(seed)
-    m = g.edge_count
+    n, m = g.node_count, g.edge_count
     attempts = swaps_per_edge * m
     picks = rng.integers(0, m, size=(attempts, 2))
     flips = rng.random(attempts) < 0.5
 
-    edges = [(int(u), int(v)) for u, v in g.edges]
-    present = set(edges)
-    for (i, j), flip in zip(picks, flips):
+    # each edge is its Graph.edge_keys integer u * n + v, u < v
+    keys = g.edge_keys.tolist()
+    present = set(keys)
+    for i, j, flip in zip(picks[:, 0].tolist(), picks[:, 1].tolist(), flips.tolist()):
         if i == j:
             continue
-        u, v = edges[i]
-        x, y = edges[j]
+        u, v = keys[i] // n, keys[i] % n
+        x, y = keys[j] // n, keys[j] % n
         if flip:
             x, y = y, x
         if u == x or v == y:
             continue
-        e1 = (u, x) if u < x else (x, u)
-        e2 = (v, y) if v < y else (y, v)
+        e1 = u * n + x if u < x else x * n + u
+        e2 = v * n + y if v < y else y * n + v
         if e1 == e2 or e1 in present or e2 in present:
             continue
-        present.discard(edges[i])
-        present.discard(edges[j])
+        present.discard(keys[i])
+        present.discard(keys[j])
         present.add(e1)
         present.add(e2)
-        edges[i] = e1
-        edges[j] = e2
-    return Graph.from_edges(g.node_count, np.asarray(edges, dtype=np.int64), g.labels)
+        keys[i] = e1
+        keys[j] = e2
+    return Graph.from_edges(n, np.stack(np.divmod(np.array(keys), n), axis=1), g.labels)

@@ -113,6 +113,12 @@ def unit_adjacency(g: Graph) -> WeightedAdjacency:
     return WeightedAdjacency(g.node_count, w, _assemble(g, w))
 
 
+def _motif_weights(stats: MotifStats) -> np.ndarray:
+    """Per-edge weight: 1 on motif-free edges, 1 + ED/|V_M| on the others."""
+    ed = stats.edge_values.astype(np.float64)
+    return np.where(ed > 0, 1.0 + ed / MOTIF_SIZE, 1.0)
+
+
 def build_motif_adjacency(g: Graph, stats: MotifStats) -> WeightedAdjacency:
     """Boost each edge's unit weight by edge_motif_degree / motif_size.
 
@@ -120,8 +126,7 @@ def build_motif_adjacency(g: Graph, stats: MotifStats) -> WeightedAdjacency:
     1 + ED/|V_M| on edges inside at least one motif instance.
     """
     _check_stats_match(g, stats)
-    ed = stats.edge_values.astype(np.float64)
-    w = np.where(ed > 0, 1.0 + ed / MOTIF_SIZE, 1.0)
+    w = _motif_weights(stats)
     w.setflags(write=False)
     return WeightedAdjacency(g.node_count, w, _assemble(g, w))
 
@@ -175,7 +180,7 @@ def build_transition_model(
         dead = (stats.node_degree == 0) & (g.degrees > 0)
         masses[np.repeat(dead, g.degrees)] = 1.0
     elif mode == "smoothed":
-        masses = build_motif_adjacency(g, stats).edge_weights[g.edge_ids]
+        masses = _motif_weights(stats)[g.edge_ids]
     else:
         raise ValueError(f"unknown transition mode: {mode!r}")
     probs = _normalize_rows(g, masses)

@@ -14,6 +14,9 @@ __all__ = ["normalized_laplacian", "smallest_eigenpairs", "train_spectral"]
 
 RESIDUAL_TOL = 1e-6
 DENSE_CUTOFF = 256  # below this size ARPACK buys nothing over LAPACK
+# largest component the dense solver takes when ARPACK fails: its eigh holds
+# two n x n float64 arrays, 64 MiB at this size and 800 MB at 10k nodes
+DENSE_FALLBACK_MAX = 2048
 
 
 def normalized_laplacian(weights: WeightedAdjacency) -> sp.csr_matrix:
@@ -30,21 +33,29 @@ def normalized_laplacian(weights: WeightedAdjacency) -> sp.csr_matrix:
 
 def smallest_eigenpairs(lap: sp.csr_matrix, k: int) -> tuple[np.ndarray, np.ndarray]:
     """k smallest eigenvalues (ascending) and unit eigenvectors of a symmetric
-    PSD matrix. Falls back to dense LAPACK when the iterative solver cannot
-    be used (k too close to n, or no convergence). ARPACK's start vector is
-    fixed: it changes how the solver converges, not the eigenpairs it
-    converges to, so the result is a function of ``lap`` alone."""
+    PSD matrix. Uses dense LAPACK when the iterative solver cannot be used
+    (n at most DENSE_CUTOFF, or k too close to n). When ARPACK does not
+    converge it retries once with a larger Krylov space and more iterations,
+    then falls back to LAPACK up to DENSE_FALLBACK_MAX nodes and raises
+    RuntimeError above that. ARPACK's start vector is fixed: it changes how
+    the solver converges, not the eigenpairs it converges to, so the result
+    is a function of ``lap`` alone."""
     n = lap.shape[0]
     if k < 1 or k > n:
         raise ValueError(f"need 1 <= k <= {n}, got {k}")
     if n > DENSE_CUTOFF and k < n - 1:
-        try:
-            vals, vecs = eigsh(lap, k=k, which="SA", v0=np.random.default_rng(0).random(n))
-        except ArpackNoConvergence:
-            pass  # the dense solver below
-        else:
+        v0 = np.random.default_rng(0).random(n)
+        # scipy's defaults first, then twice its Krylov space and 10x its iterations
+        for ncv, maxiter in ((None, None), (min(n, 2 * max(2 * k + 1, 20)), 100 * n)):
+            try:
+                vals, vecs = eigsh(lap, k=k, which="SA", v0=v0, ncv=ncv, maxiter=maxiter)
+            except ArpackNoConvergence:
+                continue
             order = np.argsort(vals)
             return vals[order], vecs[:, order]
+        if n > DENSE_FALLBACK_MAX:
+            raise RuntimeError(f"ARPACK did not converge on a {n}-node component, above "
+                               f"the dense fallback's limit of {DENSE_FALLBACK_MAX} nodes")
     vals, vecs = np.linalg.eigh(lap.toarray())
     return vals[:k], vecs[:, :k]
 
@@ -77,15 +88,20 @@ def train_spectral(
     if dim >= g.node_count:
         raise ValueError(f"dim {dim} must be < node count {g.node_count}")
     n_comp, comp_labels = connected_components(weights.matrix, directed=False)
-    full_lap = normalized_laplacian(weights)
+    # nodes grouped by component, ascending within each, so every component's
+    # Laplacian is one contiguous diagonal block of the permuted matrix
+    order = np.argsort(comp_labels, kind="stable")
+    bounds = np.zeros(n_comp + 1, dtype=np.int64)
+    np.cumsum(np.bincount(comp_labels, minlength=n_comp), out=bounds[1:])
+    full_lap = normalized_laplacian(weights)[order][:, order]
     out = np.zeros((g.node_count, dim))
     for c in range(n_comp):
-        nodes = np.flatnonzero(comp_labels == c)
-        m = nodes.size
+        lo, hi = bounds[c], bounds[c + 1]
+        nodes, m = order[lo:hi], hi - lo
         if m == 1:
             continue
         # degrees never cross components, so this is the component's own Laplacian
-        lap = full_lap[np.ix_(nodes, nodes)]
+        lap = full_lap[lo:hi, lo:hi]
         k = min(dim, m - 1) + 1  # + trivial pair
         vals, vecs = smallest_eigenpairs(lap, k)
         _check_residuals(lap, vals, vecs)

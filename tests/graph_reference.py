@@ -1,9 +1,12 @@
-"""Reference edge canonicalization and edge-list parser: pairs deduplicated
-as rows of a 2-D array and as tuples in a Python set. ``Graph.from_edges``
-and ``parse_edge_list`` must reproduce them exactly."""
+"""Reference edge canonicalization, edge-list parser and rewiring: pairs
+deduplicated as rows of a 2-D array and as tuples in a Python set.
+``Graph.from_edges``, ``parse_edge_list`` and ``null_model_rewire`` must
+reproduce them exactly."""
 from __future__ import annotations
 
 import numpy as np
+
+from motifemb import Graph
 
 
 def canonical_edges(edges: np.ndarray) -> np.ndarray:
@@ -37,3 +40,36 @@ def parse_edge_list(text: str) -> tuple[int, np.ndarray, tuple[str, ...]]:
         raise ValueError("no edges")
     edges = np.array(sorted(edge_seen), dtype=np.int64).reshape(-1, 2)
     return len(ids), edges, tuple(ids)
+
+
+def null_model_rewire(g: Graph, swaps_per_edge: int, seed: int) -> Graph:
+    """The double-edge swaps of ``motifemb.null_model_rewire``, from the same
+    generator draws, over numpy rows of the picks and a set of (u, v) tuples."""
+    rng = np.random.default_rng(seed)
+    m = g.edge_count
+    attempts = swaps_per_edge * m
+    picks = rng.integers(0, m, size=(attempts, 2))
+    flips = rng.random(attempts) < 0.5
+
+    edges = [(int(u), int(v)) for u, v in g.edges]
+    present = set(edges)
+    for (i, j), flip in zip(picks, flips):
+        if i == j:
+            continue
+        u, v = edges[i]
+        x, y = edges[j]
+        if flip:
+            x, y = y, x
+        if u == x or v == y:
+            continue
+        e1 = (u, x) if u < x else (x, u)
+        e2 = (v, y) if v < y else (y, v)
+        if e1 == e2 or e1 in present or e2 in present:
+            continue
+        present.discard(edges[i])
+        present.discard(edges[j])
+        present.add(e1)
+        present.add(e2)
+        edges[i] = e1
+        edges[j] = e2
+    return Graph.from_edges(g.node_count, np.asarray(edges, dtype=np.int64), g.labels)

@@ -356,6 +356,23 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, setting", [
+        (["linkpred", "--algorithm", "bogus"], "algorithm"),
+        (["cluster", "--variant", "mo,mo"], "variants repeat"),
+        (["linkpred", "--seeds", "1,1"], "seeds repeat"),
+        (["linkpred", "--threshold", "inf"], "threshold"),
+        (["embed", "--algorithm", "deepwalk,line", "--out", "x"], "exactly one --algorithm"),
+        (["embed", "--algorithm", "line", "--out", "x"], "exactly one --variant"),
+        (["embed", "--algorithm", "line", "--variant", "mo"], "--out"),
+    ], ids=["linkpred-algorithm", "cluster-variant", "seeds", "threshold",
+            "embed-algorithm", "embed-variant", "embed-out"])
+    def test_bad_setting_is_reported_before_the_input_is_read(self, argv, setting,
+                                                              tmp_path, capsys):
+        missing = str(tmp_path / "missing.edges")
+        assert main([*argv, "--input", missing]) == 2
+        err = capsys.readouterr().err
+        assert setting in err and "missing.edges" not in err
+
     def test_success_is_zero(self, k3_file, capsys):
         assert main(["stats", "--input", k3_file]) == 0
         capsys.readouterr()

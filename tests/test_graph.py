@@ -82,6 +82,10 @@ class TestLayout:
         want = np.stack([np.minimum(rows, g.indices), np.maximum(rows, g.indices)], axis=1)
         assert np.array_equal(g.edges[g.edge_ids], want)
         assert not g.edge_ids.flags.writeable
+        # edge_keys[r] is the sorted int64 key of edges[r]
+        assert g.edge_keys.dtype == np.int64 and not g.edge_keys.flags.writeable
+        assert np.array_equal(g.edge_keys, g.edges[:, 0] * n + g.edges[:, 1])
+        assert np.all(np.diff(g.edge_keys) > 0)
 
     @pytest.mark.parametrize("bad", [[[0.9, 1.7], [1.2, 2.9]], [[0.0, np.nan]], [[0.0, np.inf]]])
     def test_fractional_endpoints_rejected(self, bad):
@@ -243,6 +247,36 @@ class TestNullModel:
         r = null_model_rewire(g, 5, seed=seed)
         assert np.array_equal(np.sort(r.degrees), np.sort(g.degrees))
         assert r.edge_count == g.edge_count
+
+    @given(n=st.integers(min_value=2, max_value=30),
+           p=st.floats(min_value=0.05, max_value=1.0),
+           seed=st.integers(min_value=0, max_value=10_000),
+           kind=st.sampled_from(["er", "star", "er+star"]),
+           swaps_per_edge=st.integers(min_value=1, max_value=3))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_tuple_loop(self, n, p, seed, kind, swaps_per_edge):
+        # complete graphs (p = 1) and stars admit no legal swap
+        star = np.array([(0, i) for i in range(1, n)])
+        er = er_graph(n, p, seed).edges
+        edges = {"er": er, "star": star, "er+star": np.concatenate([er, star])}[kind]
+        g = Graph.from_edges(n, edges, labels=[f"v{i}" for i in range(n)])
+        assume(g.edge_count >= 2)
+        got = null_model_rewire(g, swaps_per_edge, seed)
+        assert got == graph_reference.null_model_rewire(g, swaps_per_edge, seed)
+
+    @pytest.mark.parametrize("swaps_per_edge", [1, 2, 10])
+    def test_matches_tuple_loop_on_a_skewed_graph(self, swaps_per_edge):
+        # a hub with a few hundred leaves, a clique and a sparse rest
+        rng = np.random.default_rng(5)
+        n = 400
+        edges = np.concatenate([[(0, i) for i in range(1, 300)],
+                                [(i, j) for i in range(300, 320) for j in range(i + 1, 320)],
+                                rng.integers(1, n, size=(600, 2))])
+        g = Graph.from_edges(n, edges)
+        for seed in range(4):
+            got = null_model_rewire(g, swaps_per_edge, seed)
+            assert got == graph_reference.null_model_rewire(g, swaps_per_edge, seed)
+            assert got != g
 
     def test_seed_determinism(self, petersen):
         a = null_model_rewire(petersen, 10, seed=42)

@@ -1,10 +1,13 @@
-"""Memory grows linearly with |E|: each stage's tracemalloc peak on a planted
-partition four times larger grows by at most GROWTH_SLACK x the edge ratio.
+"""Memory grows linearly with |E|: each stage's tracemalloc peak on a graph
+four times larger grows by at most GROWTH_SLACK x the edge ratio, on planted
+partitions (nearly uniform degrees) and on heavy-tailed Chung-Lu graphs.
 Peaks are allocation counts, not wall time, so the checks are deterministic."""
 from __future__ import annotations
 
 import tracemalloc
 from dataclasses import replace
+
+import numpy as np
 
 from motifemb import (
     Graph,
@@ -39,6 +42,24 @@ def traced(fn):
         return out, tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+
+
+def chung_lu(nodes: int, edges: int, exponent: float, seed: int) -> Graph:
+    """Heavy-tailed graph (Chung & Lu 2002): ``edges`` pairs whose endpoints
+    are drawn with probability proportional to (i + 1)^(-1/(exponent - 1)),
+    repeats and self-loops dropped, so node 0 is the largest hub."""
+    weight = np.arange(1, nodes + 1, dtype=np.float64) ** (-1.0 / (exponent - 1.0))
+    rng = np.random.default_rng(seed)
+    return Graph.from_edges(nodes, rng.choice(nodes, size=(edges, 2), p=weight / weight.sum()))
+
+
+def assert_linear(small: int, small_peaks: dict, large: int, large_peaks: dict) -> None:
+    edge_ratio = large / small
+    assert 3.5 < edge_ratio < 4.5
+    ratios = {name: large_peaks[name] / small_peaks[name] for name in small_peaks}
+    too_steep = {name: round(r, 2) for name, r in ratios.items()
+                 if r > GROWTH_SLACK * edge_ratio}
+    assert not too_steep, f"peak ratios above {GROWTH_SLACK} x {edge_ratio:.2f}: {too_steep}"
 
 
 def rung(nodes_per_block: int) -> dict:
@@ -84,11 +105,28 @@ def test_generator_memory_is_linear_in_edges():
 def test_stage_memory_is_linear_in_edges(tmp_path):
     # silhouette_score is left out: it is O(n^2) by definition, and below
     # about 2,048 points its distance block holds the whole matrix.
-    small, small_peaks = stage_peaks(250, tmp_path)
-    large, large_peaks = stage_peaks(1000, tmp_path)
-    edge_ratio = large / small
-    assert 3.5 < edge_ratio < 4.5
-    ratios = {name: large_peaks[name] / small_peaks[name] for name in small_peaks}
-    too_steep = {name: round(r, 2) for name, r in ratios.items()
-                 if r > GROWTH_SLACK * edge_ratio}
-    assert not too_steep, f"peak ratios above {GROWTH_SLACK} x {edge_ratio:.2f}: {too_steep}"
+    assert_linear(*stage_peaks(250, tmp_path), *stage_peaks(1000, tmp_path))
+
+
+def skewed_peaks(nodes: int, edges: int) -> tuple[int, dict[str, int]]:
+    """(|E|, {stage: peak bytes}) of the stages whose work follows the
+    degrees, on one heavy-tailed rung."""
+    g = chung_lu(nodes, edges, exponent=2.05, seed=0)
+    peaks = {}
+
+    def run(name, fn):
+        out, peaks[name] = traced(fn)
+        return out
+
+    stats = run("count_triangles", lambda: count_triangles(g))
+    run("null_model_rewire", lambda: null_model_rewire(g, 1, 0))
+    model = run("build_transition_model", lambda: build_transition_model(g, stats))
+    run("generate_walks", lambda: generate_walks(g, model, CONFIG))
+    run("node2vec_walks", lambda: node2vec_walks(g, model, replace(CONFIG, q=0.5)))
+    run("make_split", lambda: make_split(g, 0.1, 0))
+    return g.edge_count, peaks
+
+
+def test_heavy_tailed_stage_memory_is_linear_in_edges():
+    # hubs of about 900 and 2,800 neighbours on 9.2k and 36.8k edges
+    assert_linear(*skewed_peaks(3000, 12000), *skewed_peaks(12000, 48000))

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from motifemb import (
     Graph,
@@ -126,6 +127,45 @@ class TestEigenpairs:
         assert vals.tobytes() == dense_vals[:4].tobytes()
         assert vecs.tobytes() == dense_vecs[:, :4].tobytes()
 
+    def test_no_arpack_convergence_retries_once_with_more_room(self, monkeypatch):
+        calls = []
+
+        def fail_first(lap, **kwargs):
+            calls.append(kwargs)
+            if len(calls) == 1:
+                raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+            return eigsh(lap, **kwargs)
+
+        def no_dense(*args, **kwargs):
+            raise AssertionError("dense eigh called")
+
+        lap = normalized_laplacian(unit_adjacency(ring(300)))
+        want_vals, _ = smallest_eigenpairs(lap, 4)
+        monkeypatch.setattr(spectral, "eigsh", fail_first)
+        monkeypatch.setattr(np.linalg, "eigh", no_dense)
+        vals, _ = smallest_eigenpairs(lap, 4)
+        assert np.allclose(vals, want_vals, atol=1e-10)
+        assert [c["ncv"] for c in calls] == [None, 40]
+        assert [c["maxiter"] for c in calls] == [None, 30_000]
+
+    def test_no_arpack_convergence_above_the_cap_raises(self, monkeypatch):
+        calls = []
+
+        def no_convergence(*args, **kwargs):
+            calls.append(kwargs)
+            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+        def no_dense(*args, **kwargs):
+            raise AssertionError("dense eigh called")
+
+        lap = normalized_laplacian(unit_adjacency(ring(300)))
+        monkeypatch.setattr(spectral, "eigsh", no_convergence)
+        monkeypatch.setattr(spectral, "DENSE_FALLBACK_MAX", 299)
+        monkeypatch.setattr(np.linalg, "eigh", no_dense)
+        with pytest.raises(RuntimeError, match="300-node component.* 299 nodes"):
+            smallest_eigenpairs(lap, 4)
+        assert len(calls) == 2
+
     def test_arpack_determinism(self):
         lap = normalized_laplacian(unit_adjacency(ring(300)))
         _, a = smallest_eigenpairs(lap, 3)
@@ -189,6 +229,44 @@ class TestTrainSpectral:
         assert emb.vectors.shape == (8, 4)
         assert np.all(emb.vectors[:, 3] == 0.0)
         assert np.any(emb.vectors[:, :3] != 0.0)
+
+    def test_component_blocks_match_index_loop(self, monkeypatch):
+        # 80 components of 1-11 nodes plus one above DENSE_CUTOFF, with
+        # node ids shuffled so that the components interleave
+        rng = np.random.default_rng(3)
+        sizes = np.concatenate([[300], rng.integers(1, 12, size=80)])
+        ids = rng.permutation(int(sizes.sum()))
+        edges = []
+        for part in np.split(ids, np.cumsum(sizes)[:-1]):
+            edges += list(zip(part[:-1], part[1:]))  # a path keeps it connected
+            edges += [tuple(part[e]) for e in rng.integers(0, part.size, size=(part.size, 2))]
+        g = Graph.from_edges(ids.size, edges)
+        weights = build_motif_adjacency(g, count_triangles(g))
+        blocks = []
+        solve = spectral.smallest_eigenpairs
+        monkeypatch.setattr(spectral, "smallest_eigenpairs",
+                            lambda lap, k: (blocks.append(lap), solve(lap, k))[1])
+        emb = train_spectral(g, weights, dim=3)
+
+        # the reference: each component's rows and columns picked from the
+        # whole Laplacian, in ascending node order
+        n_comp, labels = connected_components(weights.matrix, directed=False)
+        full = normalized_laplacian(weights)
+        want = np.zeros((g.node_count, 3))
+        wanted_blocks = 0
+        for c in range(n_comp):
+            nodes = np.flatnonzero(labels == c)
+            if nodes.size == 1:
+                continue
+            lap = full[np.ix_(nodes, nodes)]
+            got = blocks[wanted_blocks]
+            wanted_blocks += 1
+            for part in ("data", "indices", "indptr"):
+                assert getattr(got, part).tobytes() == getattr(lap, part).tobytes(), (c, part)
+            vals, vecs = solve(lap, min(3, nodes.size - 1) + 1)
+            want[nodes, : vecs.shape[1] - 1] = _fix_signs(vecs[:, 1:])
+        assert len(blocks) == wanted_blocks
+        assert emb.vectors.tobytes() == want.tobytes()
 
     def test_isolated_node_rows_are_zero(self):
         g = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2)])
