@@ -33,6 +33,7 @@ from .motifs import MotifMode, count_triangles, null_model_totals
 from .pipeline import (
     ALGORITHMS,
     VARIANTS,
+    check_list,
     csv_text,
     embed_graph,
     json_text,
@@ -77,6 +78,10 @@ class RunConfig(TrainConfig):
             raise ValueError("null_model must be >= 0")
         if self.clusters < 2:
             raise ValueError("clusters must be >= 2")
+        if not 0 < self.fraction < 1:
+            raise ValueError("fraction must be in (0, 1)")
+        if self.swaps_per_edge < 1:
+            raise ValueError("swaps_per_edge must be >= 1")
 
     @classmethod
     def read_file(cls, path, names, entry: str) -> dict:
@@ -116,11 +121,7 @@ class RunConfig(TrainConfig):
         if not self.seeds:
             return [self.seed]
         seeds = [int(tok) for tok in self.seeds.split(",") if tok.strip() != ""]
-        if not seeds:
-            raise ValueError(f"seeds lists no seed: {self.seeds!r}")
-        repeated = sorted({s for s in seeds if seeds.count(s) > 1})
-        if repeated:
-            raise ValueError(f"seeds repeat: {', '.join(map(str, repeated))}")
+        check_list(seeds, "seed", given=self.seeds)
         return seeds
 
     def algorithm_list(self) -> tuple[str, ...]:
@@ -139,17 +140,11 @@ class RunConfig(TrainConfig):
 
 
 def _choose(value: str, allowed: tuple[str, ...], what: str) -> tuple[str, ...]:
-    """``allowed`` for "all", else the comma list, each entry in ``allowed``
-    and none repeated."""
+    """``allowed`` for "all", else the comma list, as ``check_list`` takes it."""
     if value == "all":
         return allowed
     chosen = tuple(tok.strip() for tok in value.split(","))
-    bad = [c for c in chosen if c not in allowed]
-    if bad:
-        raise ValueError(f"unknown {what}(s): {', '.join(bad)}")
-    repeated = sorted({c for c in chosen if chosen.count(c) > 1})
-    if repeated:
-        raise ValueError(f"{what}s repeat: {', '.join(repeated)}")
+    check_list(chosen, what, allowed)
     return chosen
 
 

@@ -31,8 +31,6 @@ __all__ = [
     "rank_auc",
     "ConfusionCounts",
     "MetricsReport",
-    "confusion_at_threshold",
-    "metrics_from_counts",
     "compute_metrics",
     "kmeans_cluster",
     "SilhouetteReport",
@@ -165,45 +163,32 @@ def _safe_ratio(num: float, den: float) -> float:
     return num / den if den > 0 else 0.0
 
 
-def confusion_at_threshold(
-    pos_scores: np.ndarray, neg_scores: np.ndarray, threshold: float
-) -> ConfusionCounts:
-    """Predict positive where score >= threshold."""
-    tp = int(np.sum(pos_scores >= threshold))
-    fp = int(np.sum(neg_scores >= threshold))
-    return ConfusionCounts(tp=tp, fp=fp, tn=len(neg_scores) - fp, fn=len(pos_scores) - tp)
-
-
-def metrics_from_counts(c: ConfusionCounts) -> dict:
-    precision = _safe_ratio(c.tp, c.tp + c.fp)
-    recall = _safe_ratio(c.tp, c.tp + c.fn)
-    return {
-        "accuracy": _safe_ratio(c.tp + c.tn, c.tp + c.fp + c.tn + c.fn),
-        "precision": precision,
-        "recall": recall,
-        "specificity": _safe_ratio(c.tn, c.tn + c.fp),
-        "f1": _safe_ratio(2 * precision * recall, precision + recall),
-    }
-
-
 def compute_metrics(
     pos_scores: np.ndarray,
     neg_scores: np.ndarray,
     threshold: float | None = None,
     zero_norm_pairs: int = 0,
 ) -> MetricsReport:
-    """Full report; threshold None means the pooled median of all scores."""
+    """Full report; threshold None means the pooled median of all scores.
+    A pair is predicted positive where its score >= threshold."""
     pos = np.asarray(pos_scores, dtype=np.float64)
     neg = np.asarray(neg_scores, dtype=np.float64)
     thr = float(np.median(np.concatenate([pos, neg]))) if threshold is None else threshold
-    counts = confusion_at_threshold(pos, neg, thr)
-    parts = metrics_from_counts(counts)
+    tp = int(np.sum(pos >= thr))
+    fp = int(np.sum(neg >= thr))
+    tn, fn = len(neg) - fp, len(pos) - tp
+    precision = _safe_ratio(tp, tp + fp)
+    recall = _safe_ratio(tp, tp + fn)
     return MetricsReport(
         auc=rank_auc(pos, neg),
+        accuracy=_safe_ratio(tp + tn, tp + fp + tn + fn),
+        precision=precision,
+        recall=recall,
+        specificity=_safe_ratio(tn, tn + fp),
+        f1=_safe_ratio(2 * precision * recall, precision + recall),
         threshold=thr,
-        counts=counts,
+        counts=ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn),
         zero_norm_pairs=zero_norm_pairs,
-        **parts,
     )
 
 

@@ -194,7 +194,11 @@ def write_edge_list(g: Graph, path_or_buf: str | Path | io.TextIOBase) -> None:
 
     Edges are ordered so that node labels are introduced in id order; parsing
     the output therefore reproduces a parsed Graph bit-for-bit (same dense
-    ids, same labels). Graphs with isolated nodes cannot be represented.
+    ids, same labels). When the smaller id's label starts a comment ('#' or
+    '%'), the line is written the other way round; that keeps the ids unless
+    the line introduces both nodes. Raises ValueError on isolated nodes, and
+    on an edge that no order can write: both of its labels start a comment,
+    or its line introduces both nodes and the smaller id's label starts one.
     """
     if np.any(g.degrees == 0):
         raise ValueError("edge lists cannot represent isolated nodes")
@@ -210,9 +214,24 @@ def write_edge_list(g: Graph, path_or_buf: str | Path | io.TextIOBase) -> None:
     rest = np.ones(g.edge_count, dtype=bool)
     rest[intro] = False
     order = np.concatenate([np.asarray(intro, dtype=np.int64), np.flatnonzero(rest)])
+    lines = g.edges[order]
+    if g.labels is not None:
+        # the parser skips a line whose first label starts a comment; writing
+        # the other label first keeps every id unless both ends are new there
+        hidden = np.array([label.startswith(COMMENT_PREFIXES) for label in g.labels])
+        # first[i] is the line that introduces node i (no node is isolated)
+        first = np.unique(lines, return_index=True)[1] // 2
+        at = np.arange(g.edge_count)
+        flip = hidden[lines[:, 0]]
+        stuck = hidden[lines[:, 1]] | (first[lines[:, 0]] == at) & (first[lines[:, 1]] == at)
+        if np.any(flip & stuck):
+            u, v = lines[np.argmax(flip & stuck)].tolist()
+            raise ValueError(f"edge {g.label_of(u)!r} {g.label_of(v)!r} has no line that "
+                             f"parses back: a label starting with '#' or '%' would come first")
+        lines[flip] = lines[flip, ::-1]
 
     def _dump(fh) -> None:
-        for u, v in g.edges[order].tolist():
+        for u, v in lines.tolist():
             fh.write(f"{g.label_of(u)} {g.label_of(v)}\n")
 
     if isinstance(path_or_buf, (str, Path)):

@@ -101,22 +101,23 @@ class WeightedAdjacency:
         return float(self.matrix[u, v])
 
 
-def _assemble(g: Graph, per_edge: np.ndarray) -> sp.csr_matrix:
+def _adjacency(g: Graph, w: np.ndarray) -> WeightedAdjacency:
+    """The one builder of a WeightedAdjacency: ``w`` (one weight per row of
+    ``g.edges``, made read-only) spread over both CSR positions of each edge."""
+    w.setflags(write=False)
     n = g.node_count
-    return sp.csr_matrix((per_edge[g.edge_ids], g.indices, g.indptr), shape=(n, n))
+    matrix = sp.csr_matrix((w[g.edge_ids], g.indices, g.indptr), shape=(n, n))
+    return WeightedAdjacency(n, w, matrix)
 
 
 def unit_adjacency(g: Graph) -> WeightedAdjacency:
     """Plain 0/1 adjacency as a WeightedAdjacency (the unweighted baseline)."""
-    w = np.ones(g.edge_count, dtype=np.float64)
-    w.setflags(write=False)
-    return WeightedAdjacency(g.node_count, w, _assemble(g, w))
+    return _adjacency(g, np.ones(g.edge_count, dtype=np.float64))
 
 
 def _motif_weights(stats: MotifStats) -> np.ndarray:
-    """Per-edge weight: 1 on motif-free edges, 1 + ED/|V_M| on the others."""
-    ed = stats.edge_values.astype(np.float64)
-    return np.where(ed > 0, 1.0 + ed / MOTIF_SIZE, 1.0)
+    """Per-edge weight 1 + ED/|V_M|, which is exactly 1 on motif-free edges."""
+    return 1.0 + stats.edge_values / MOTIF_SIZE
 
 
 def build_motif_adjacency(g: Graph, stats: MotifStats) -> WeightedAdjacency:
@@ -126,9 +127,7 @@ def build_motif_adjacency(g: Graph, stats: MotifStats) -> WeightedAdjacency:
     1 + ED/|V_M| on edges inside at least one motif instance.
     """
     _check_stats_match(g, stats)
-    w = _motif_weights(stats)
-    w.setflags(write=False)
-    return WeightedAdjacency(g.node_count, w, _assemble(g, w))
+    return _adjacency(g, _motif_weights(stats))
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,11 +151,16 @@ class TransitionModel:
         return self.indices[lo:hi], self.probs[lo:hi]
 
 
-def _normalize_rows(g: Graph, masses: np.ndarray) -> np.ndarray:
-    """Each row's masses over the row's own left-to-right sum (a sequential
-    ``bincount``); every row with a neighbour has positive mass."""
+def _transitions(g: Graph, masses: np.ndarray) -> TransitionModel:
+    """The one builder of a TransitionModel: each row's ``masses`` (CSR-aligned
+    with ``g``) over the row's own left-to-right sum (a sequential
+    ``bincount``), both arrays made read-only. Every row with a neighbour
+    has positive mass."""
     row_of = np.repeat(np.arange(g.node_count), g.degrees)
-    return masses / np.bincount(row_of, weights=masses, minlength=g.node_count)[row_of]
+    probs = masses / np.bincount(row_of, weights=masses, minlength=g.node_count)[row_of]
+    for a in (masses, probs):
+        a.setflags(write=False)
+    return TransitionModel(g.node_count, g.indptr, g.indices, probs, masses)
 
 
 def build_transition_model(
@@ -183,16 +187,9 @@ def build_transition_model(
         masses = _motif_weights(stats)[g.edge_ids]
     else:
         raise ValueError(f"unknown transition mode: {mode!r}")
-    probs = _normalize_rows(g, masses)
-    for a in (masses, probs):
-        a.setflags(write=False)
-    return TransitionModel(g.node_count, g.indptr, g.indices, probs, masses)
+    return _transitions(g, masses)
 
 
 def uniform_transitions(g: Graph) -> TransitionModel:
     """Unbiased transitions: every neighbor equally likely (classic walks)."""
-    masses = np.ones(g.indices.shape[0], dtype=np.float64)
-    probs = _normalize_rows(g, masses)
-    for a in (masses, probs):
-        a.setflags(write=False)
-    return TransitionModel(g.node_count, g.indptr, g.indices, probs, masses)
+    return _transitions(g, np.ones(g.indices.shape[0], dtype=np.float64))

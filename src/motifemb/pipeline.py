@@ -51,6 +51,7 @@ __all__ = [
     "linkpred_row",
     "cluster_row",
     "run_report",
+    "check_list",
     "summarize_rows",
     "gap_table",
     "write_report_csv",
@@ -198,21 +199,25 @@ def run_report(
     one cluster_row call; a linkpred report embeds each seed's train graph
     and scores it with one linkpred_row call against that seed's split.
     Triangles are counted once per graph embedded, never without "mo".
-    ``threshold`` is read by linkpred rows, ``clusters`` by cluster rows;
-    ``clusters`` outside [2, node count] raises ValueError before anything
-    is embedded.
+    ``threshold`` is read by linkpred rows, ``clusters`` by cluster rows.
+    ``clusters`` outside [2, node count], and an algorithm, variant or seed
+    list that ``check_list`` rejects, raise ValueError before any split,
+    count or embedding.
     """
     if task not in ("linkpred", "cluster"):
         raise ValueError(f"unknown task {task!r}")
     if task == "cluster" and not 2 <= clusters <= g.node_count:
         raise ValueError(f"clusters must be >= 2 and <= the node count {g.node_count}, "
                          f"got {clusters}")
+    seeds = [int(s) for s in seeds]
+    for values, what, allowed in ((algorithms, "algorithm", ALGORITHMS),
+                                  (variants, "variant", VARIANTS), (seeds, "seed", None)):
+        check_list(values, what, allowed)
     laws: dict[str, list[str]] = {}  # walk law -> the algorithms that run it
     for algorithm in algorithms:
         unit_pq = algorithm == "node2vec" and config.p == config.q == 1
         laws.setdefault("deepwalk" if unit_pq else algorithm, []).append(algorithm)
     needs_stats = "mo" in variants
-    seeds = [int(s) for s in seeds]
     rows = []
     # a cluster report embeds g for all its seeds; linkpred embeds each
     # seed's train graph, splitting one seed at a time in seed order
@@ -233,6 +238,22 @@ def run_report(
     if len(seeds) > 1:
         rows.extend(summarize_rows(rows))
     return rows
+
+
+def check_list(values, what: str, allowed=None, given=None) -> None:
+    """Raise ValueError unless ``values`` names at least one ``what`` (a seed,
+    an algorithm, a variant), each one in ``allowed`` unless that is None,
+    and none twice. The error for an empty list quotes ``given``, by default
+    the values."""
+    values = list(values)
+    if not values:
+        raise ValueError(f"{what}s lists no {what}: {values if given is None else given!r}")
+    bad = [str(v) for v in values if allowed is not None and v not in allowed]
+    if bad:
+        raise ValueError(f"unknown {what}(s): {', '.join(bad)}")
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise ValueError(f"{what}s repeat: {', '.join(map(str, repeated))}")
 
 
 def summarize_rows(rows: list[dict]) -> list[dict]:

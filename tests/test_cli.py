@@ -364,8 +364,11 @@ class TestExitCodes:
         (["embed", "--algorithm", "deepwalk,line", "--out", "x"], "exactly one --algorithm"),
         (["embed", "--algorithm", "line", "--out", "x"], "exactly one --variant"),
         (["embed", "--algorithm", "line", "--variant", "mo"], "--out"),
+        (["linkpred", "--fraction", "2"], "fraction must be in (0, 1)"),
+        (["motifs", "--null-model", "2", "--swaps-per-edge", "0"],
+         "swaps_per_edge must be >= 1"),
     ], ids=["linkpred-algorithm", "cluster-variant", "seeds", "threshold",
-            "embed-algorithm", "embed-variant", "embed-out"])
+            "embed-algorithm", "embed-variant", "embed-out", "fraction", "swaps-per-edge"])
     def test_bad_setting_is_reported_before_the_input_is_read(self, argv, setting,
                                                               tmp_path, capsys):
         missing = str(tmp_path / "missing.edges")

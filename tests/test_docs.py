@@ -1,8 +1,11 @@
-"""The README's command examples parse with the real parsers, so a flag
-renamed or removed from a declaration cannot stay in the docs. Nothing is
-run: each example only goes through its parser's ``parse_args``."""
+"""The README's command examples parse with the real parsers, and every
+name its Python examples import from motifemb exists, so a flag or function
+renamed or removed cannot stay in the docs. Nothing is run: each command
+example only goes through its parser's ``parse_args``."""
 from __future__ import annotations
 
+import ast
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -45,3 +48,27 @@ def test_readme_example_parses(argv):
         cli.build_parser().parse_args(argv[1:])
     else:
         load_script(Path(argv[1]).stem).build_parser().parse_args(argv[2:])
+
+
+def readme_python_imports() -> list[tuple[str, str]]:
+    """(module, name) for every name a README Python block imports from
+    motifemb or one of its modules."""
+    imports = []
+    for block in re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S):
+        for node in ast.walk(ast.parse(block)):
+            if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "motifemb":
+                imports += [(node.module, alias.name) for alias in node.names]
+    return imports
+
+
+PYTHON_IMPORTS = sorted(set(readme_python_imports()))
+
+
+def test_readme_python_examples_import_from_motifemb():
+    assert PYTHON_IMPORTS
+
+
+@pytest.mark.parametrize("module, name", PYTHON_IMPORTS,
+                         ids=[f"{module}.{name}" for module, name in PYTHON_IMPORTS])
+def test_readme_python_import_exists(module, name):
+    assert hasattr(importlib.import_module(module), name)

@@ -22,6 +22,7 @@ from scipy.spatial.distance import cdist
 from scipy.stats import rankdata
 
 from motifemb import (
+    ConfusionCounts,
     EmbeddingMatrix,
     Graph,
     compute_metrics,
@@ -33,7 +34,6 @@ from motifemb import (
     unit_adjacency,
 )
 from motifemb import evaluation
-from motifemb.evaluation import confusion_at_threshold, metrics_from_counts
 
 from conftest import er_graph
 
@@ -413,12 +413,10 @@ class TestComputeMetrics:
         with pytest.raises(ValueError):
             compute_metrics(np.array([]), np.array([0.3]))
 
-    def test_counts_helper_roundtrip(self):
-        counts = confusion_at_threshold(
-            np.array([0.9, 0.1]), np.array([0.8, 0.2]), 0.5
-        )
-        parts = metrics_from_counts(counts)
-        assert parts["accuracy"] == 0.5
+    def test_counts_at_a_given_threshold(self):
+        rep = compute_metrics(np.array([0.9, 0.1]), np.array([0.8, 0.2]), threshold=0.5)
+        assert rep.counts == ConfusionCounts(tp=1, fp=1, tn=1, fn=1)
+        assert rep.accuracy == 0.5
 
 
 def loop_kmeans(x: np.ndarray, k: int, seed: int) -> np.ndarray:

@@ -49,9 +49,10 @@ def messy_pairs(draw):
 @st.composite
 def messy_edge_text(draw):
     """Edge-list text with comments, blank lines, commas, tabs, extra
-    columns, self-loops, repeated and reversed edges, and rarely a line
-    with one token."""
+    columns, self-loops, repeated and reversed edges, second-column labels
+    that would start a comment, and rarely a line with one token."""
     token = st.sampled_from(["a", "b", "c", "7", "07", "x-1", "n3", "é"])
+    second = st.sampled_from(["a", "b", "c", "7", "07", "x-1", "n3", "é", "#e", "%f", "#g"])
     sep = st.sampled_from([" ", ",", "\t", " , ", "  "])
     lines = []
     for kind in draw(st.lists(st.integers(min_value=0, max_value=59), max_size=40)):
@@ -60,7 +61,7 @@ def messy_edge_text(draw):
         elif kind <= 2:
             lines.append(draw(st.sampled_from(["", "   ", "# note", "  % a b", "#1 2"])))
         else:
-            cols = [draw(token), draw(token)] + draw(st.lists(
+            cols = [draw(token), draw(second)] + draw(st.lists(
                 st.sampled_from(["1", "0.5", "w", "a"]), max_size=2))
             line = cols[0]
             for col in cols[1:]:
@@ -216,6 +217,33 @@ class TestRoundTrip:
         buf2 = io.StringIO()
         write_edge_list(first, buf2)
         assert parse_edge_list(buf2.getvalue()) == first
+
+    @given(messy_edge_text())
+    @settings(max_examples=150, deadline=None)
+    def test_parse_write_parse_is_identity(self, text):
+        try:
+            g = parse_edge_list(text)
+        except ParseError:
+            return
+        buf = io.StringIO()
+        write_edge_list(g, buf)
+        assert parse_edge_list(buf.getvalue()) == g
+
+    def test_comment_like_label_is_not_written_first(self):
+        g = parse_edge_list("a #b\nc #b\nc a\n")
+        buf = io.StringIO()
+        write_edge_list(g, buf)
+        assert not any(line.startswith(("#", "%")) for line in buf.getvalue().splitlines())
+        assert parse_edge_list(buf.getvalue()) == g
+
+    @pytest.mark.parametrize("labels,edges", [
+        (("#x", "y"), [(0, 1)]),  # the line introduces both, so "#x" comes first
+        (("x", "#y", "%z"), [(0, 1), (1, 2)]),  # both labels of edge 1-2 start a comment
+    ])
+    def test_edge_no_order_can_write_rejected(self, labels, edges):
+        g = Graph.from_edges(len(labels), edges, labels)
+        with pytest.raises(ValueError, match="parses back"):
+            write_edge_list(g, io.StringIO())
 
     def test_labels_preserved(self, tmp_path):
         g = parse_edge_list("alpha beta\nbeta gamma\n")

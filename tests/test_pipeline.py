@@ -355,6 +355,29 @@ class TestRunReport:
                        clusters=1)
         assert not embedded
 
+    @pytest.mark.parametrize("task", ["linkpred", "cluster"])
+    @pytest.mark.parametrize("lists, message", [
+        (dict(seeds=()), "seeds lists no seed"),
+        (dict(seeds=(1, 0, 1)), "seeds repeat: 1"),
+        (dict(algorithms=()), "algorithms lists no algorithm"),
+        (dict(algorithms=("spectral", "grarep")), r"unknown algorithm\(s\): grarep"),
+        (dict(algorithms=("line", "spectral", "line")), "algorithms repeat: line"),
+        (dict(variants=()), "variants lists no variant"),
+        (dict(variants=("mo", "extra")), r"unknown variant\(s\): extra"),
+        (dict(variants=("mo", "mo")), "variants repeat: mo"),
+    ], ids=["seeds-empty", "seeds-repeat", "algorithms-empty", "algorithms-unknown",
+            "algorithms-repeat", "variants-empty", "variants-unknown", "variants-repeat"])
+    def test_bad_list_rejected_before_any_split_or_count(self, small_graph, monkeypatch,
+                                                         task, lists, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("split or counted before the lists were checked")
+
+        monkeypatch.setattr(pipeline, "make_split", refuse)
+        monkeypatch.setattr(pipeline, "count_triangles", refuse)
+        kw = dict(algorithms=("spectral",), variants=("base", "mo"), seeds=(0,), config=FAST)
+        with pytest.raises(ValueError, match=f"^{message}"):
+            run_report(small_graph, "toy", task, **{**kw, **lists})
+
     def test_unknown_task_rejected(self, small_graph):
         with pytest.raises(ValueError):
             run_report(small_graph, "toy", "classify", config=FAST)

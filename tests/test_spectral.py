@@ -19,7 +19,7 @@ from motifemb import (
     unit_adjacency,
 )
 from motifemb import spectral
-from motifemb.motifs import WeightedAdjacency, _assemble
+from motifemb.motifs import WeightedAdjacency, _adjacency
 from motifemb.spectral import (
     RESIDUAL_TOL,
     _fix_signs,
@@ -35,12 +35,7 @@ def ring(n: int) -> Graph:
 
 
 def scaled_adjacency(g: Graph, factor: float) -> WeightedAdjacency:
-    per_edge = np.full(g.edge_count, factor)
-    return WeightedAdjacency(
-        node_count=g.node_count,
-        edge_weights=per_edge,
-        matrix=_assemble(g, per_edge),
-    )
+    return _adjacency(g, np.full(g.edge_count, factor))
 
 
 def loop_fix_signs(vecs: np.ndarray, tol: float = 1e-12) -> np.ndarray:
