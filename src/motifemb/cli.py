@@ -10,8 +10,8 @@ config block of its JSON report. A config file holds flat key=value lines;
 explicit flags override file values, which override defaults, and the merged
 values are validated once. Exit code 0 on success, 2 on bad input
 (unparseable graph, unknown names or choices, a config key that is not a
-flag or that repeats, an empty or repeating seed, algorithm or variant
-list, conflicting flags, missing files).
+flag or that repeats, a seed that is not an integer, an empty or repeating
+seed, algorithm or variant list, conflicting flags, missing files).
 
 ``add_run_flags`` and ``run_command`` parse it, for ``main`` and for the
 experiment scripts in scripts/.
@@ -120,7 +120,10 @@ class RunConfig(TrainConfig):
     def seed_list(self) -> list[int]:
         if not self.seeds:
             return [self.seed]
-        seeds = [int(tok) for tok in self.seeds.split(",") if tok.strip() != ""]
+        try:
+            seeds = [int(tok) for tok in _comma_list(self.seeds)]
+        except ValueError:
+            raise ValueError(f"bad seed in seeds: {self.seeds!r}") from None
         check_list(seeds, "seed", given=self.seeds)
         return seeds
 
@@ -139,12 +142,17 @@ class RunConfig(TrainConfig):
         return value
 
 
+def _comma_list(value: str) -> list[str]:
+    """The items of a comma list, stripped; empty items are dropped."""
+    return [tok.strip() for tok in value.split(",") if tok.strip()]
+
+
 def _choose(value: str, allowed: tuple[str, ...], what: str) -> tuple[str, ...]:
     """``allowed`` for "all", else the comma list, as ``check_list`` takes it."""
     if value == "all":
         return allowed
-    chosen = tuple(tok.strip() for tok in value.split(","))
-    check_list(chosen, what, allowed)
+    chosen = tuple(_comma_list(value))
+    check_list(chosen, what, allowed, given=value)
     return chosen
 
 

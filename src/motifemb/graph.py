@@ -150,8 +150,10 @@ class GraphStats:
 def parse_edge_list(text: str | bytes | io.IOBase | Iterable[str]) -> Graph:
     """Parse a plain-text edge list into a Graph.
 
-    Delimiter is any run of whitespace or a single comma; lines starting with
-    '#' or '%' are comments. Duplicate undirected edges collapse, self-loops
+    Any run of commas and whitespace is one delimiter, and delimiters before
+    the first token are dropped, so "a,,b" and ",a b" both read as the edge
+    a-b. A line whose first non-blank character is '#' or '%' is a comment
+    (",#a b" is not). Duplicate undirected edges collapse, self-loops
     are dropped, and node ids are remapped to dense 0-based integers in order
     of first appearance (original tokens kept as labels).
 
@@ -194,45 +196,27 @@ def write_edge_list(g: Graph, path_or_buf: str | Path | io.TextIOBase) -> None:
 
     Edges are ordered so that node labels are introduced in id order; parsing
     the output therefore reproduces a parsed Graph bit-for-bit (same dense
-    ids, same labels). When the smaller id's label starts a comment ('#' or
-    '%'), the line is written the other way round; that keeps the ids unless
-    the line introduces both nodes. Raises ValueError on isolated nodes, and
-    on an edge that no order can write: both of its labels start a comment,
-    or its line introduces both nodes and the smaller id's label starts one.
+    ids, same labels). A line whose first label starts a comment ('#' or
+    '%') is written with a leading comma, which the parser drops as a
+    delimiter. Raises ValueError on isolated nodes, which no edge list can
+    carry.
     """
     if np.any(g.degrees == 0):
         raise ValueError("edge lists cannot represent isolated nodes")
-    intro: list[int] = []
+    # node k > 0 is introduced by the edge to its smallest neighbour first[k],
+    # unless a node h in [1, k) has first[h] == k and so introduced k already;
+    # such a k has first[k] <= h < k, so skipping it skips no later node
+    first = g.indices[g.indptr[:-1]]
     seen = np.zeros(g.node_count, dtype=bool)
-    seen[0] = True
-    for k in range(1, g.node_count):
-        if not seen[k]:
-            # the edge to k's first neighbour introduces k, and that
-            # neighbour too when it is larger
-            intro.append(g.edge_ids[g.indptr[k]])
-            seen[g.indices[g.indptr[k]]] = True
-    rest = np.ones(g.edge_count, dtype=bool)
-    rest[intro] = False
-    order = np.concatenate([np.asarray(intro, dtype=np.int64), np.flatnonzero(rest)])
-    lines = g.edges[order]
-    if g.labels is not None:
-        # the parser skips a line whose first label starts a comment; writing
-        # the other label first keeps every id unless both ends are new there
-        hidden = np.array([label.startswith(COMMENT_PREFIXES) for label in g.labels])
-        # first[i] is the line that introduces node i (no node is isolated)
-        first = np.unique(lines, return_index=True)[1] // 2
-        at = np.arange(g.edge_count)
-        flip = hidden[lines[:, 0]]
-        stuck = hidden[lines[:, 1]] | (first[lines[:, 0]] == at) & (first[lines[:, 1]] == at)
-        if np.any(flip & stuck):
-            u, v = lines[np.argmax(flip & stuck)].tolist()
-            raise ValueError(f"edge {g.label_of(u)!r} {g.label_of(v)!r} has no line that "
-                             f"parses back: a label starting with '#' or '%' would come first")
-        lines[flip] = lines[flip, ::-1]
+    seen[first[1:][first[1:] > np.arange(1, g.node_count)]] = True
+    intro = g.edge_ids[g.indptr[1:-1][~seen[1:]]]
+    order = np.concatenate([intro, np.setdiff1d(np.arange(g.edge_count), intro)])
 
     def _dump(fh) -> None:
-        for u, v in lines.tolist():
-            fh.write(f"{g.label_of(u)} {g.label_of(v)}\n")
+        for u, v in g.edges[order].tolist():
+            head = g.label_of(u)
+            escape = "," if head.startswith(COMMENT_PREFIXES) else ""
+            fh.write(f"{escape}{head} {g.label_of(v)}\n")
 
     if isinstance(path_or_buf, (str, Path)):
         with open(path_or_buf, "w", encoding="utf-8") as fh:

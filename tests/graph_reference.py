@@ -1,6 +1,7 @@
-"""Reference edge canonicalization, edge-list parser and rewiring: pairs
-deduplicated as rows of a 2-D array and as tuples in a Python set.
-``Graph.from_edges``, ``parse_edge_list`` and ``null_model_rewire`` must
+"""Reference edge canonicalization, edge-list parser and writer, and
+rewiring: pairs deduplicated as rows of a 2-D array and as tuples in a Python
+set, and the writer's line order picked node by node. ``Graph.from_edges``,
+``parse_edge_list``, ``write_edge_list`` and ``null_model_rewire`` must
 reproduce them exactly."""
 from __future__ import annotations
 
@@ -40,6 +41,24 @@ def parse_edge_list(text: str) -> tuple[int, np.ndarray, tuple[str, ...]]:
         raise ValueError("no edges")
     edges = np.array(sorted(edge_seen), dtype=np.int64).reshape(-1, 2)
     return len(ids), edges, tuple(ids)
+
+
+def write_edge_list(g: Graph) -> str:
+    """The text ``motifemb.write_edge_list`` writes for a graph whose labels
+    start no comment: for k = 1, 2, ... in turn, a node k that no earlier
+    line introduced gets the line of the edge to its smallest neighbour, and
+    the remaining edges follow in row order."""
+    row_of = {(u, v): r for r, (u, v) in enumerate(g.edges.tolist())}
+    intro: list[int] = []
+    seen = {0}
+    for k in range(1, g.node_count):
+        if k not in seen:
+            first = int(g.neighbors(k)[0])
+            intro.append(row_of[(min(k, first), max(k, first))])
+            seen.add(first)
+    rest = sorted(set(range(g.edge_count)) - set(intro))
+    return "".join(f"{g.label_of(u)} {g.label_of(v)}\n"
+                   for u, v in g.edges[intro + rest].tolist())
 
 
 def null_model_rewire(g: Graph, swaps_per_edge: int, seed: int) -> Graph:

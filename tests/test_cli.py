@@ -108,6 +108,11 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(algorithm="grarep").algorithm_list()
 
+    def test_comma_lists_drop_empty_items(self):
+        assert RunConfig(algorithm=" line,, spectral,").algorithm_list() == ("line", "spectral")
+        assert RunConfig(variant=",mo").variant_list() == ("mo",)
+        assert RunConfig(seeds="4,,2,").seed_list() == [4, 2]
+
     def test_variant_list(self):
         assert RunConfig().variant_list() == ("base", "mo")
         assert RunConfig(variant="mo").variant_list() == ("mo",)
@@ -571,6 +576,22 @@ class TestReports:
         args[args.index(flag) + 1] = names
         assert main(args) == 2
         assert capsys.readouterr().err.startswith(f"error: {what} repeat")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--algorithm", ",", "algorithms lists no algorithm: ','"),
+        ("--variant", "", "variants lists no variant: ''"),
+        ("--seeds", "a", "bad seed in seeds: 'a'"),
+        ("--seeds", "0,1.5", "bad seed in seeds: '0,1.5'"),
+    ])
+    def test_unusable_list_exits_two_naming_the_setting(self, er_file, flag, value, message,
+                                                        tmp_path, capsys):
+        out = tmp_path / "report.json"
+        args = ["cluster", "--input", er_file, "--algorithm", "spectral", "--variant", "base",
+                "--seeds", "0,1", "--dim", "4", "--out", str(out)]
+        args[args.index(flag) + 1] = value
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_reruns_are_byte_identical(self, er_file, tmp_path):
