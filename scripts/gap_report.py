@@ -92,7 +92,7 @@ def load_graphs(run, args) -> dict:
 
 
 def report(run, args) -> int:
-    seeds, algorithms, threshold = run.seed_list(), run.algorithm_list(), run.threshold_value()
+    settings = run.report_arguments()
     graphs = load_graphs(run, args)
     if not graphs:
         print("no datasets present, nothing to do")
@@ -107,32 +107,29 @@ def report(run, args) -> int:
     if args.stats_only:
         return 0
 
-    config = run.train_config()
-    shown = dataclasses.asdict(config)
+    shown = dataclasses.asdict(settings["config"])
     if args.datasets:
         del shown["seed"]  # the generator seed; dataset runs read only --seeds
     print(f"config: {shown}")
-    print(f"seeds: {seeds}  motif mode: {run.mode}\n")
+    print(f"seeds: {settings['seeds']}  motif mode: {run.mode}\n")
     tasks = ("linkpred", "cluster") if args.task == "both" else (args.task,)
     rows: list[dict] = []
     start = time.time()
     for name, g in graphs.items():
         for task in tasks:
             t0 = time.time()
-            task_rows = run_report(g, name, task, algorithms=algorithms, seeds=seeds,
-                                   config=config, fraction=run.fraction, mode=run.mode,
-                                   threshold=threshold, clusters=run.clusters)
+            task_rows = run_report(g, name, task, **settings)
             rows.extend(task_rows)
             metric, title = METRICS[task]
             print(f"{name} {task}: {time.time() - t0:.1f}s", file=sys.stderr)
-            print(f"== {name}: {title} over {len(seeds)} seeds ==")
+            print(f"== {name}: {title} over {len(settings['seeds'])} seeds ==")
             print(gap_table(task_rows, metric))
             print()
 
     runs = sum(row["seed"] != "summary" for row in rows)
     print(f"total {time.time() - start:.1f}s for {runs} runs", file=sys.stderr)
     if args.csv is not None:
-        write_report_csv(rows, args.csv)
+        args.csv.write_text(write_report_csv(rows))
         print(f"raw rows written to {args.csv}")
     return 0
 

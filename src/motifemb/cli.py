@@ -141,6 +141,15 @@ class RunConfig(TrainConfig):
             raise ValueError(f"threshold must be 'median' or a finite number, got {value}")
         return value
 
+    def report_arguments(self) -> dict:
+        """``run_report``'s keyword arguments for this run. Each list is parsed
+        and checked here, in this order, so bad settings raise ValueError
+        before any input is read."""
+        return dict(algorithms=self.algorithm_list(), variants=self.variant_list(),
+                    seeds=self.seed_list(), threshold=self.threshold_value(),
+                    config=self.train_config(), fraction=self.fraction, mode=self.mode,
+                    clusters=self.clusters)
+
 
 def _comma_list(value: str) -> list[str]:
     """The items of a comma list, stripped; empty items are dropped."""
@@ -233,22 +242,9 @@ def cmd_embed(run: RunConfig) -> int:
 
 
 def _report_command(run: RunConfig, task: str) -> int:
-    algorithms, variants = run.algorithm_list(), run.variant_list()
-    seeds, threshold = run.seed_list(), run.threshold_value()
+    settings = run.report_arguments()
     g, dataset = _load_graph(run)  # read only once the settings hold
-    rows = run_report(
-        g,
-        dataset,
-        task,
-        algorithms=algorithms,
-        variants=variants,
-        seeds=seeds,
-        config=run.train_config(),
-        fraction=run.fraction,
-        mode=run.mode,
-        threshold=threshold,
-        clusters=run.clusters,
-    )
+    rows = run_report(g, dataset, task, **settings)
     if run.format == "csv":
         _emit(write_report_csv(rows), run)
     else:

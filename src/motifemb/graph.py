@@ -64,6 +64,8 @@ class Graph:
 
         The one place edges are deduplicated: pairs may repeat, in either
         orientation. Endpoints must be whole numbers in [0, node_count).
+        Labels, if given, are distinct non-empty strs without whitespace or
+        commas, so that an edge list can carry them; ValueError otherwise.
         """
         raw = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges)
         if raw.dtype.kind == "f" and not np.all(np.isfinite(raw) & (raw == np.trunc(raw))):
@@ -82,12 +84,29 @@ class Graph:
         # one int64 key per pair, ordered as the pairs (lo, hi) lexsort
         keys = np.unique((lo * node_count + hi)[lo != hi])
         canon = np.stack(np.divmod(keys, node_count), axis=1)
-        indptr, indices, edge_ids = _build_csr(node_count, canon)
+        # CSR of [reversed edges; edges]: canon is sorted, so one stable sort
+        # by source lists each row's smaller neighbours, then its larger
+        # ones, each ascending
+        src = np.concatenate([canon[:, 1], canon[:, 0]])
+        order = np.argsort(src, kind="stable")
+        indptr = np.zeros(node_count + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=node_count), out=indptr[1:])
+        indices = np.concatenate([canon[:, 0], canon[:, 1]])[order]
+        edge_ids = order % canon.shape[0]
         for a in (canon, indptr, indices, edge_ids, keys):
             a.setflags(write=False)
         lab = tuple(labels) if labels is not None else None
         if lab is not None and len(lab) != node_count:
             raise ValueError("labels length must equal node_count")
+        seen: set[str] = set()
+        for label in lab or ():
+            # what one token of an edge-list line can carry
+            if not isinstance(label, str) or "," in label or label.split() != [label]:
+                raise ValueError(f"label {label!r} is not a non-empty str free of "
+                                 "whitespace and commas")
+            if label in seen:
+                raise ValueError(f"label {label!r} repeats")
+            seen.add(label)
         return cls(node_count, canon, indptr, indices, edge_ids, keys, lab)
 
     @property
@@ -123,17 +142,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(|V|={self.node_count}, |E|={self.edge_count})"
-
-
-def _build_csr(node_count: int, canon: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(indptr, indices, edge_ids) of the symmetrized canonical edges."""
-    src = np.concatenate([canon[:, 0], canon[:, 1]])
-    dst = np.concatenate([canon[:, 1], canon[:, 0]])
-    order = np.lexsort((dst, src))
-    indptr = np.zeros(node_count + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=node_count), out=indptr[1:])
-    # position p holds the pair at row order[p] of (edges, reversed edges)
-    return indptr, dst[order], order % canon.shape[0]
 
 
 @dataclass(frozen=True)

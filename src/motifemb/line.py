@@ -16,7 +16,7 @@ import numpy as np
 from .config import TrainConfig
 from .embedding import EmbeddingMatrix
 from .graph import Graph
-from .motifs import WeightedAdjacency, unit_adjacency
+from .motifs import WeightedAdjacency
 from .sgns import NOISE_POWER, CumulativeSampler, train_pairs
 
 __all__ = ["edge_sampling_tables", "train_line"]
@@ -37,11 +37,11 @@ def edge_sampling_tables(g: Graph, weights: WeightedAdjacency):
 
 def train_line(
     g: Graph,
-    weights: WeightedAdjacency | None,
+    weights: WeightedAdjacency,
     config: TrainConfig,
 ) -> EmbeddingMatrix:
-    if weights is None:
-        weights = unit_adjacency(g)
+    """LINE on ``weights``' edge weights: ``unit_adjacency`` for plain
+    LINE, ``build_motif_adjacency`` for the motif-weighted one."""
     if config.line_order == "concat":
         if config.dim % 2:
             raise ValueError("concat order needs an even dimension")

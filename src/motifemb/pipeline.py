@@ -14,7 +14,6 @@ import io
 import json
 from dataclasses import asdict
 from itertools import product
-from pathlib import Path
 from typing import get_args
 
 import numpy as np
@@ -37,6 +36,8 @@ from .motifs import (
     build_motif_adjacency,
     build_transition_model,
     count_triangles,
+    uniform_transitions,
+    unit_adjacency,
 )
 from .sgns import train_sgns
 from .spectral import train_spectral
@@ -91,11 +92,12 @@ def embed_graph(
 ) -> EmbeddingMatrix:
     """Dispatch to one of the four back-ends, motif-enhanced or not.
 
-    The "mo" variant biases walk transitions (deepwalk/node2vec) or edge
-    weights (line/spectral) by triangle participation; "base" leaves the
-    graph unweighted. ``stats`` are the triangle counts of ``g``, read only
-    by "mo"; None counts them here, and counts from another graph raise
-    ValueError.
+    Builds the model each variant trains on. "mo" biases it by triangle
+    participation: ``build_transition_model`` for deepwalk/node2vec,
+    ``build_motif_adjacency`` for line/spectral. "base" takes the unweighted
+    graph's ``uniform_transitions`` or ``unit_adjacency``. ``stats`` are the
+    triangle counts of ``g``, read only by "mo"; None counts them here, and
+    counts from another graph raise ValueError.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
@@ -108,14 +110,15 @@ def embed_graph(
         stats = count_triangles(g)
 
     if algorithm in ("deepwalk", "node2vec"):
-        transitions = build_transition_model(g, stats, mode) if enhanced else None
+        transitions = (build_transition_model(g, stats, mode) if enhanced
+                       else uniform_transitions(g))
         if algorithm == "deepwalk":
             corpus = generate_walks(g, transitions, config)
         else:
             corpus = node2vec_walks(g, transitions, config)
         emb = train_sgns(corpus, config, g.node_count)
     else:
-        weights = build_motif_adjacency(g, stats) if enhanced else None
+        weights = build_motif_adjacency(g, stats) if enhanced else unit_adjacency(g)
         if algorithm == "line":
             emb = train_line(g, weights, config)
         else:
@@ -311,11 +314,8 @@ def json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def write_report_csv(rows: list[dict], path=None) -> str:
-    text = csv_text(REPORT_COLUMNS, ([row[c] for c in REPORT_COLUMNS] for row in rows))
-    if path is not None:
-        Path(path).write_text(text)
-    return text
+def write_report_csv(rows: list[dict]) -> str:
+    return csv_text(REPORT_COLUMNS, ([row[c] for c in REPORT_COLUMNS] for row in rows))
 
 
 def write_report_json(rows: list[dict], run_config: dict) -> str:

@@ -8,7 +8,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .embedding import EmbeddingMatrix
 from .graph import Graph
-from .motifs import WeightedAdjacency, unit_adjacency
+from .motifs import WeightedAdjacency
 
 __all__ = ["normalized_laplacian", "smallest_eigenpairs", "train_spectral"]
 
@@ -76,15 +76,15 @@ def _check_residuals(lap, vals, vecs) -> None:
 
 def train_spectral(
     g: Graph,
-    weights: WeightedAdjacency | None,
+    weights: WeightedAdjacency,
     dim: int,
 ) -> EmbeddingMatrix:
-    """Rows are the first `dim` nontrivial eigenvector coordinates, computed
+    """Rows are the first `dim` nontrivial eigenvector coordinates of the
+    normalized Laplacian of ``weights`` (``unit_adjacency`` for the plain
+    graph, ``build_motif_adjacency`` for the motif-weighted one), computed
     per connected component (each component contributes its own trivial
     zero eigenpair, which is dropped). Components with fewer than dim + 1
     nodes get zero padding in the missing columns."""
-    if weights is None:
-        weights = unit_adjacency(g)
     if dim >= g.node_count:
         raise ValueError(f"dim {dim} must be < node count {g.node_count}")
     n_comp, comp_labels = connected_components(weights.matrix, directed=False)

@@ -7,7 +7,7 @@ import numpy as np
 
 from .config import TrainConfig
 from .graph import Graph
-from .motifs import TransitionModel, uniform_transitions
+from .motifs import TransitionModel
 
 __all__ = ["WalkCorpus", "generate_walks", "node2vec_walks"]
 
@@ -47,12 +47,11 @@ def _degree_blocks(deg: np.ndarray):
             yield d, order[at:min(at + max(1, _BLOCK // d), hi)]
 
 
-def _walks(g: Graph, transitions: TransitionModel | None, config: TrainConfig,
+def _walks(g: Graph, model: TransitionModel, config: TrainConfig,
            second_order: bool) -> WalkCorpus:
     """Advances every walker of a pass in lockstep. Only isolated starts stop
     early, so one ``rng.random((live, walk_length - 1))`` per pass, read
     column by column, is the stream of drawing one step at a time."""
-    model = transitions if transitions is not None else uniform_transitions(g)
     rng = np.random.default_rng(config.seed)
     n, length = model.node_count, config.walk_length
     deg = np.diff(model.indptr)
@@ -102,11 +101,12 @@ def _walks(g: Graph, transitions: TransitionModel | None, config: TrainConfig,
 
 def generate_walks(
     g: Graph,
-    transitions: TransitionModel | None,
+    transitions: TransitionModel,
     config: TrainConfig,
 ) -> WalkCorpus:
     """First-order walks: next node drawn from the transition row of the
-    current node (None means uniform over neighbors, i.e. classic DeepWalk).
+    current node. ``uniform_transitions`` gives classic DeepWalk,
+    ``build_transition_model`` the motif-biased walk.
 
     Starts walks_per_node passes over a reshuffled node order; deterministic
     per config.seed.
@@ -116,7 +116,7 @@ def generate_walks(
 
 def node2vec_walks(
     g: Graph,
-    transitions: TransitionModel | None,
+    transitions: TransitionModel,
     config: TrainConfig,
 ) -> WalkCorpus:
     """Second-order walks with return parameter config.p and in-out
@@ -125,9 +125,10 @@ def node2vec_walks(
     From the previous step (t -> v), candidate x gets unnormalized weight
     alpha(t, x) * base(v, x): alpha is 1/p when x == t, 1 when x is adjacent
     to t in g, 1/q otherwise; base is the transition model's unnormalized
-    mass (all ones when transitions is None, recovering plain node2vec). The
-    first step is first-order. Walkers step in lockstep, on the stream of a
-    one-walker loop; at p = q = 1 these are generate_walks' walks.
+    mass (all ones for ``uniform_transitions``, recovering plain
+    node2vec). The first step is first-order. Walkers step in lockstep, on
+    the stream of a one-walker loop; at p = q = 1 these are generate_walks'
+    walks.
     """
     # not generate_walks: a wrapper on the public walkers (as in
     # benchmark/tracer.py) must see each corpus built exactly once

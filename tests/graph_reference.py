@@ -1,6 +1,7 @@
-"""Reference edge canonicalization, edge-list parser and writer, and
-rewiring: pairs deduplicated as rows of a 2-D array and as tuples in a Python
-set, and the writer's line order picked node by node. ``Graph.from_edges``,
+"""Reference edge canonicalization, CSR layout, edge-list parser and writer,
+and rewiring: pairs deduplicated as rows of a 2-D array and as tuples in a
+Python set, the CSR from a lexsort of every (source, target) pair, and the
+writer's line order picked node by node. ``Graph.from_edges``,
 ``parse_edge_list``, ``write_edge_list`` and ``null_model_rewire`` must
 reproduce them exactly."""
 from __future__ import annotations
@@ -17,6 +18,17 @@ def canonical_edges(edges: np.ndarray) -> np.ndarray:
     lo = np.minimum(arr[:, 0], arr[:, 1])
     hi = np.maximum(arr[:, 0], arr[:, 1])
     return np.unique(np.stack([lo, hi], axis=1), axis=0) if arr.size else arr
+
+
+def csr(node_count: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(indptr, indices, edge_ids) of canonical edges: every (source, target)
+    pair of both orientations, lexsorted."""
+    src = np.concatenate([edges[:, 0], edges[:, 1]])
+    dst = np.concatenate([edges[:, 1], edges[:, 0]])
+    order = np.lexsort((dst, src))
+    indptr = np.zeros(node_count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=node_count), out=indptr[1:])
+    return indptr, dst[order], order % edges.shape[0]
 
 
 def parse_edge_list(text: str) -> tuple[int, np.ndarray, tuple[str, ...]]:

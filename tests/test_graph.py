@@ -108,6 +108,8 @@ class TestLayout:
         want = np.stack([np.minimum(rows, g.indices), np.maximum(rows, g.indices)], axis=1)
         assert np.array_equal(g.edges[g.edge_ids], want)
         assert not g.edge_ids.flags.writeable
+        for got, ref in zip((g.indptr, g.indices, g.edge_ids), graph_reference.csr(n, g.edges)):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
         # edge_keys[r] is the sorted int64 key of edges[r]
         assert g.edge_keys.dtype == np.int64 and not g.edge_keys.flags.writeable
         assert np.array_equal(g.edge_keys, g.edges[:, 0] * n + g.edges[:, 1])
@@ -277,6 +279,17 @@ class TestRoundTrip:
         buf = io.StringIO()
         write_edge_list(g, buf)
         assert buf.getvalue() == graph_reference.write_edge_list(g)
+
+    @pytest.mark.parametrize("labels,message", [
+        (["a b", "c"], "whitespace"),  # would write "a b c", the edge a-b
+        (["a", "a"], "repeats"),  # would write "a a", a self-loop
+        (["", "c"], "non-empty"),  # would write " c", one token
+        (["a,b", "c"], "commas"),  # would write "a,b c", the edge a-b
+        ([0, "c"], "str"),
+    ], ids=["whitespace", "repeat", "empty", "comma", "not-str"])
+    def test_label_no_edge_list_can_carry_is_rejected(self, labels, message):
+        with pytest.raises(ValueError, match=message):
+            Graph.from_edges(2, [(0, 1)], labels)
 
     def test_labels_preserved(self, tmp_path):
         g = parse_edge_list("alpha beta\nbeta gamma\n")

@@ -24,6 +24,7 @@ from motifemb import (
     train_line,
     train_sgns,
     train_spectral,
+    unit_adjacency,
 )
 from motifemb.sgns import extract_pairs
 
@@ -85,8 +86,8 @@ def stage_peaks(nodes_per_block: int, tmp_path) -> tuple[int, dict[str, int]]:
     run("node2vec_walks", lambda: node2vec_walks(g, model, replace(CONFIG, q=0.5)))
     run("extract_pairs", lambda: extract_pairs(corpus, CONFIG.window))
     emb = run("train_sgns", lambda: train_sgns(corpus, CONFIG, g.node_count))
-    run("train_line", lambda: train_line(g, None, CONFIG))
-    spectral = run("train_spectral", lambda: train_spectral(g, None, CONFIG.dim))
+    run("train_line", lambda: train_line(g, unit_adjacency(g), CONFIG))
+    spectral = run("train_spectral", lambda: train_spectral(g, unit_adjacency(g), CONFIG.dim))
     run("make_split", lambda: make_split(g, 0.1, 0))
     run("kmeans_cluster", lambda: kmeans_cluster(spectral.vectors, 2, 0))
     run("null_model_rewire", lambda: null_model_rewire(g, 1, 0))

@@ -84,8 +84,8 @@ class TestSamplingTables:
 class TestTrainLine:
     @pytest.mark.parametrize("order", ["first", "second", "concat"])
     def test_shapes_and_finiteness(self, two_triangles_bridged, order):
-        cfg = line_config(line_order=order)
-        emb = train_line(two_triangles_bridged, None, cfg)
+        g = two_triangles_bridged
+        emb = train_line(g, unit_adjacency(g), line_config(line_order=order))
         assert emb.vectors.shape == (6, 8)
         assert np.all(np.isfinite(emb.vectors))
         assert emb.provenance["trainer"] == "line"
@@ -134,39 +134,41 @@ class TestTrainLine:
             return edge_sampling_tables(g, weights)
 
         monkeypatch.setattr(motifemb.line, "edge_sampling_tables", counting_tables)
-        train_line(two_triangles_bridged, None, line_config(line_order="concat"))
+        g = two_triangles_bridged
+        train_line(g, unit_adjacency(g), line_config(line_order="concat"))
         assert len(calls) == 1
 
     def test_concat_needs_even_dim(self, two_triangles_bridged):
         with pytest.raises(ValueError):
-            train_line(two_triangles_bridged, None, line_config(dim=7, line_order="concat"))
+            train_line(two_triangles_bridged, unit_adjacency(two_triangles_bridged),
+                       line_config(dim=7, line_order="concat"))
 
     def test_determinism(self, two_triangles_bridged):
-        cfg = line_config(line_order="concat")
-        a = train_line(two_triangles_bridged, None, cfg.with_seed(3))
-        b = train_line(two_triangles_bridged, None, cfg.with_seed(3))
-        c = train_line(two_triangles_bridged, None, cfg.with_seed(4))
+        g, cfg = two_triangles_bridged, line_config(line_order="concat")
+        a = train_line(g, unit_adjacency(g), cfg.with_seed(3))
+        b = train_line(g, unit_adjacency(g), cfg.with_seed(3))
+        c = train_line(g, unit_adjacency(g), cfg.with_seed(4))
         assert np.array_equal(a.vectors, b.vectors)
         assert not np.array_equal(a.vectors, c.vectors)
 
     def test_orders_differ(self, two_triangles_bridged):
         g = two_triangles_bridged
-        first = train_line(g, None, line_config(line_order="first"))
-        second = train_line(g, None, line_config(line_order="second"))
+        first = train_line(g, unit_adjacency(g), line_config(line_order="first"))
+        second = train_line(g, unit_adjacency(g), line_config(line_order="second"))
         assert not np.allclose(first.vectors, second.vectors)
 
     def test_weights_change_result(self, two_triangles_bridged):
         g = two_triangles_bridged
         am = build_motif_adjacency(g, count_triangles(g))
         cfg = line_config(seed=1)
-        plain = train_line(g, None, cfg)
+        plain = train_line(g, unit_adjacency(g), cfg)
         weighted = train_line(g, am, cfg)
         assert not np.allclose(plain.vectors, weighted.vectors)
 
     def test_triangle_mates_score_higher(self, two_triangles_bridged):
         g = two_triangles_bridged
         cfg = line_config(epochs=6, dim=8, seed=2)
-        emb = train_line(g, None, cfg)
+        emb = train_line(g, unit_adjacency(g), cfg)
         v = emb.vectors / np.linalg.norm(emb.vectors, axis=1, keepdims=True)
         sims = v @ v.T
         intra = [sims[0, 1], sims[0, 2], sims[1, 2],

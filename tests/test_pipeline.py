@@ -18,6 +18,9 @@ from motifemb import (
     planted_partition,
     run_report,
     silhouette_score,
+    train_sgns,
+    uniform_transitions,
+    unit_adjacency,
     write_report_csv,
     write_report_json,
 )
@@ -164,6 +167,32 @@ class TestEmbedGraph:
         deepwalk = embed_graph(small_graph, "deepwalk", variant, FAST.with_seed(4), mode)
         node2vec = embed_graph(small_graph, "node2vec", variant, FAST.with_seed(4), mode)
         assert deepwalk.vectors.tobytes() == node2vec.vectors.tobytes()
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_every_trainer_gets_a_model(self, small_graph, monkeypatch, algorithm, variant):
+        # embed_graph builds both variants' models; base trains on the
+        # unweighted graph's uniform rows or unit weights, byte for byte
+        g, cfg = small_graph, dataclasses.replace(FAST, q=0.5, seed=1)
+        name, unit = {"deepwalk": ("generate_walks", uniform_transitions),
+                      "node2vec": ("node2vec_walks", uniform_transitions),
+                      "line": ("train_line", unit_adjacency),
+                      "spectral": ("train_spectral", unit_adjacency)}[algorithm]
+        train, models = getattr(pipeline, name), []
+
+        def record(graph, model, *rest):
+            models.append(model)
+            return train(graph, model, *rest)
+
+        monkeypatch.setattr(pipeline, name, record)
+        emb = embed_graph(g, algorithm, variant, cfg, "strict")
+        assert len(models) == 1 and isinstance(models[0], type(unit(g)))
+        if variant == "base":
+            if algorithm in ("deepwalk", "node2vec"):
+                want = train_sgns(train(g, unit(g), cfg), cfg, g.node_count)
+            else:
+                want = train(g, unit(g), cfg.dim if algorithm == "spectral" else cfg)
+            assert emb.vectors.tobytes() == want.vectors.tobytes()
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_stats_of_another_graph_rejected(self, small_graph, algorithm):
@@ -431,10 +460,8 @@ class TestReportSerialization:
         )
         return [row]
 
-    def test_csv_header_and_float_fidelity(self, tmp_path):
-        path = tmp_path / "r.csv"
-        text = write_report_csv(self.rows(), path)
-        assert path.read_text() == text
+    def test_csv_header_and_float_fidelity(self):
+        text = write_report_csv(self.rows())
         reader = list(csv.reader(io.StringIO(text)))
         assert reader[0] == list(REPORT_COLUMNS)
         parsed = dict(zip(reader[0], reader[1]))

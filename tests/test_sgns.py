@@ -18,6 +18,8 @@ from motifemb import (
     generate_walks,
     train_line,
     train_sgns,
+    uniform_transitions,
+    unit_adjacency,
 )
 from motifemb.graph import Graph
 from motifemb.sgns import (
@@ -411,8 +413,9 @@ class TestReferenceStep:
 
         def train() -> bytes:
             if trainer == "sgns":
-                return train_sgns(generate_walks(g, None, cfg), cfg, n).vectors.tobytes()
-            return train_line(g, None, cfg).vectors.tobytes()
+                corpus = generate_walks(g, uniform_transitions(g), cfg)
+                return train_sgns(corpus, cfg, n).vectors.tobytes()
+            return train_line(g, unit_adjacency(g), cfg).vectors.tobytes()
 
         calls = []
 
@@ -455,13 +458,14 @@ class TestReferenceTrainers:
             line_order="first" if trainer == "sgns" else trainer,
         )
         if trainer == "sgns":
-            corpus = generate_walks(g, None, cfg)
+            corpus = generate_walks(g, uniform_transitions(g), cfg)
             emb, ctx = train_sgns(corpus, cfg, n, return_context=True)
             want_center, want_ctx = sgns_reference.train_sgns(corpus, cfg, n)
             assert ctx.tobytes() == want_ctx.tobytes()
             assert emb.vectors.tobytes() == want_center.tobytes()
         else:
-            weights = build_motif_adjacency(g, count_triangles(g)) if weighted else None
+            weights = (build_motif_adjacency(g, count_triangles(g)) if weighted
+                       else unit_adjacency(g))
             want = sgns_reference.train_line(g, weights, cfg)
             assert train_line(g, weights, cfg).vectors.tobytes() == want.tobytes()
 
@@ -477,14 +481,14 @@ class TestTraining:
 
     def test_shapes_and_provenance(self):
         g = er_graph(12, 0.3, seed=0)
-        corpus = generate_walks(g, None, self.cfg())
+        corpus = generate_walks(g, uniform_transitions(g), self.cfg())
         emb = train_sgns(corpus, self.cfg(), node_count=g.node_count)
         assert emb.vectors.shape == (12, 8)
         assert np.all(np.isfinite(emb.vectors))
 
     def test_bitwise_determinism(self):
         g = er_graph(12, 0.3, seed=1)
-        corpus = generate_walks(g, None, self.cfg(seed=1))
+        corpus = generate_walks(g, uniform_transitions(g), self.cfg(seed=1))
         a = train_sgns(corpus, self.cfg(seed=5), node_count=12)
         b = train_sgns(corpus, self.cfg(seed=5), node_count=12)
         c = train_sgns(corpus, self.cfg(seed=6), node_count=12)
@@ -497,7 +501,7 @@ class TestTraining:
         # never occurs in the corpus, so it has noise probability zero
         g = er_graph(15, 0.3, seed=7)
         cfg = self.cfg(epochs=2, batch_size=50)
-        corpus = generate_walks(g, None, cfg.with_seed(7))
+        corpus = generate_walks(g, uniform_transitions(g), cfg.with_seed(7))
         train_sgns(corpus, cfg.with_seed(11), node_count=16)
 
         centers, contexts = extract_pairs(corpus, cfg.window)
@@ -519,7 +523,7 @@ class TestTraining:
     def test_training_raises_average_objective(self):
         g = er_graph(14, 0.3, seed=2)
         cfg = self.cfg()
-        corpus = generate_walks(g, None, cfg.with_seed(2))
+        corpus = generate_walks(g, uniform_transitions(g), cfg.with_seed(2))
         centers, contexts = extract_pairs(corpus, cfg.window)
         noise = noise_distribution(corpus, 14)
         emb, ctx = train_sgns(corpus, cfg.with_seed(3), node_count=14, return_context=True)
@@ -547,7 +551,7 @@ class TestTraining:
         edges = list(map(tuple, two_k4.edges)) + [(3, 4)]
         g = Graph.from_edges(8, edges)
         cfg = self.cfg(dim=6, walks_per_node=20, walk_length=20, epochs=5, seed=4)
-        corpus = generate_walks(g, None, cfg)
+        corpus = generate_walks(g, uniform_transitions(g), cfg)
         emb = train_sgns(corpus, cfg, node_count=8)
         v = emb.vectors / np.linalg.norm(emb.vectors, axis=1, keepdims=True)
         sims = v @ v.T
@@ -570,7 +574,7 @@ def test_default_config_stays_bounded_on_small_graph(trainer):
     g = er_graph(34, 0.15, seed=0)
     cfg = TrainConfig()
     if trainer == "deepwalk":
-        emb = train_sgns(generate_walks(g, None, cfg), cfg, node_count=34)
+        emb = train_sgns(generate_walks(g, uniform_transitions(g), cfg), cfg, node_count=34)
     else:
-        emb = train_line(g, None, cfg)
+        emb = train_line(g, unit_adjacency(g), cfg)
     assert np.linalg.norm(emb.vectors, axis=1).max() < 100

@@ -171,7 +171,7 @@ class TestEigenpairs:
 class TestTrainSpectral:
     def test_shapes_and_sign_convention(self):
         g = er_graph(15, 0.3, seed=0)
-        emb = train_spectral(g, None, dim=4)
+        emb = train_spectral(g, unit_adjacency(g), dim=4)
         assert emb.vectors.shape == (15, 4)
         for col in emb.vectors.T:
             nz = np.flatnonzero(np.abs(col) > 1e-12)
@@ -193,15 +193,15 @@ class TestTrainSpectral:
 
     def test_dim_must_be_below_node_count(self, k4):
         with pytest.raises(ValueError):
-            train_spectral(k4, None, dim=4)
+            train_spectral(k4, unit_adjacency(k4), dim=4)
         with pytest.raises(ValueError):
-            train_spectral(k4, None, dim=5)
+            train_spectral(k4, unit_adjacency(k4), dim=5)
 
     def test_trivial_direction_dropped(self):
         # connected graph: every column must be orthogonal to sqrt(degree),
         # the kernel of the normalized Laplacian
         g = er_graph(12, 0.4, seed=3)
-        emb = train_spectral(g, None, dim=3)
+        emb = train_spectral(g, unit_adjacency(g), dim=3)
         root_deg = np.sqrt(np.array([g.neighbors(i).size for i in range(12)], float))
         root_deg /= np.linalg.norm(root_deg)
         overlap = emb.vectors.T @ root_deg
@@ -214,12 +214,12 @@ class TestTrainSpectral:
 
     def test_motif_weights_change_embedding(self, tri_pendant):
         am = build_motif_adjacency(tri_pendant, count_triangles(tri_pendant))
-        plain = train_spectral(tri_pendant, None, dim=2)
+        plain = train_spectral(tri_pendant, unit_adjacency(tri_pendant), dim=2)
         weighted = train_spectral(tri_pendant, am, dim=2)
         assert not np.allclose(plain.vectors, weighted.vectors, atol=1e-10)
 
     def test_small_components_zero_padded(self, two_k4):
-        emb = train_spectral(two_k4, None, dim=4)
+        emb = train_spectral(two_k4, unit_adjacency(two_k4), dim=4)
         # each K4 supports 3 nontrivial directions; the 4th column pads
         assert emb.vectors.shape == (8, 4)
         assert np.all(emb.vectors[:, 3] == 0.0)
@@ -265,12 +265,12 @@ class TestTrainSpectral:
 
     def test_isolated_node_rows_are_zero(self):
         g = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2)])
-        emb = train_spectral(g, None, dim=2)
+        emb = train_spectral(g, unit_adjacency(g), dim=2)
         assert np.all(emb.vectors[3] == 0.0)
         assert np.all(emb.vectors[4] == 0.0)
 
     def test_determinism_across_calls(self):
         g = er_graph(40, 0.15, seed=9)
-        a = train_spectral(g, None, dim=5)
-        b = train_spectral(g, None, dim=5)
+        a = train_spectral(g, unit_adjacency(g), dim=5)
+        b = train_spectral(g, unit_adjacency(g), dim=5)
         assert np.array_equal(a.vectors, b.vectors)

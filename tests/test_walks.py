@@ -21,6 +21,7 @@ from motifemb import (
     count_triangles,
     generate_walks,
     node2vec_walks,
+    uniform_transitions,
 )
 from motifemb.sgns import extract_pairs, noise_distribution
 from motifemb.walks import _BLOCK
@@ -54,9 +55,9 @@ class TestCorpusShape:
         g = er_graph(n, p, seed)
         cfg = walk_config(seed=seed)
         if second_order:
-            corpus = node2vec_walks(g, None, cfg)
+            corpus = node2vec_walks(g, uniform_transitions(g), cfg)
         else:
-            corpus = generate_walks(g, None, cfg)
+            corpus = generate_walks(g, uniform_transitions(g), cfg)
         assert len(corpus) == cfg.walks_per_node * g.node_count
         tokens = corpus.tokens
         assert tokens.shape == (len(corpus), cfg.walk_length)
@@ -77,7 +78,7 @@ class TestCorpusShape:
 
     def test_isolated_start_is_singleton(self):
         g = Graph.from_edges(3, [(0, 1)])
-        corpus = generate_walks(g, None, walk_config())
+        corpus = generate_walks(g, uniform_transitions(g), walk_config())
         for w in corpus.tokens:
             if w[0] == 2:
                 assert np.all(w[1:] == -1)
@@ -86,9 +87,9 @@ class TestCorpusShape:
 
     def test_seed_determinism(self, tri_pendant):
         cfg = walk_config()
-        a = generate_walks(tri_pendant, None, cfg.with_seed(7))
-        b = generate_walks(tri_pendant, None, cfg.with_seed(7))
-        c = generate_walks(tri_pendant, None, cfg.with_seed(8))
+        a = generate_walks(tri_pendant, uniform_transitions(tri_pendant), cfg.with_seed(7))
+        b = generate_walks(tri_pendant, uniform_transitions(tri_pendant), cfg.with_seed(7))
+        c = generate_walks(tri_pendant, uniform_transitions(tri_pendant), cfg.with_seed(8))
         assert np.array_equal(a.tokens, b.tokens)
         assert not np.array_equal(a.tokens, c.tokens)
 
@@ -121,7 +122,8 @@ class TestFirstOrderDistribution:
 
     def test_uniform_default_row(self, tri_pendant):
         corpus = generate_walks(
-            tri_pendant, None, walk_config(walks_per_node=300, walk_length=40, seed=2)
+            tri_pendant, uniform_transitions(tri_pendant),
+            walk_config(walks_per_node=300, walk_length=40, seed=2),
         )
         counts = transition_counts(corpus, 2, 4)[[0, 1, 3]]
         chi = sps.chisquare(counts)
@@ -131,7 +133,8 @@ class TestFirstOrderDistribution:
 class TestSecondOrder:
     def test_huge_p_forbids_backtracking(self, c4):
         corpus = node2vec_walks(
-            c4, None, walk_config(walks_per_node=50, walk_length=20, p=1e12, q=1.0, seed=3),
+            c4, uniform_transitions(c4),
+            walk_config(walks_per_node=50, walk_length=20, p=1e12, q=1.0, seed=3),
         )
         t = corpus.tokens
         assert np.all((t[:, 2:] != t[:, :-2]) | (t[:, 2:] < 0))
@@ -139,7 +142,7 @@ class TestSecondOrder:
     def test_tiny_q_pushes_outward(self, tri_pendant):
         # from (0 -> 2) the only non-neighbor of 0 among 2's neighbors is 3
         corpus = node2vec_walks(
-            tri_pendant, None,
+            tri_pendant, uniform_transitions(tri_pendant),
             walk_config(walks_per_node=100, walk_length=20, p=1.0, q=1e-12, seed=4),
         )
         t = corpus.tokens
@@ -150,8 +153,8 @@ class TestSecondOrder:
     def test_neutral_parameters_reduce_to_first_order(self):
         g = er_graph(20, 0.3, seed=3)
         cfg = walk_config(walks_per_node=4, walk_length=15, p=1.0, q=1.0, seed=11)
-        first = generate_walks(g, None, cfg)
-        second = node2vec_walks(g, None, cfg)
+        first = generate_walks(g, uniform_transitions(g), cfg)
+        second = node2vec_walks(g, uniform_transitions(g), cfg)
         assert len(first) == len(second)
         assert np.array_equal(first.tokens, second.tokens)
 
@@ -193,7 +196,8 @@ class TestReference:
                                           walks_per_node, pq, seed, data):
         window = data.draw(st.integers(min_value=1, max_value=walk_length + 1))
         g = Graph.from_edges(n + isolated, er_graph(n, edge_p, seed).edges)
-        tm = None if mode is None else build_transition_model(g, count_triangles(g), mode)
+        tm = (uniform_transitions(g) if mode is None
+              else build_transition_model(g, count_triangles(g), mode))
         cfg = walk_config(walks_per_node=walks_per_node, walk_length=walk_length,
                           window=window, p=pq[0], q=pq[1], seed=seed)
         for walker, reference in ((generate_walks, ref.generate_walks),
@@ -235,7 +239,8 @@ class TestHubReference:
     def test_tokens_match_at_any_block(self, mode, pq):
         g = hub_graph()
         assert sorted(g.degrees)[-2:] == [151, 1201]
-        tm = None if mode is None else build_transition_model(g, count_triangles(g), mode)
+        tm = (uniform_transitions(g) if mode is None
+              else build_transition_model(g, count_triangles(g), mode))
         for walk_length in (1, 2, 4):
             cfg = walk_config(walks_per_node=1, walk_length=walk_length, p=pq[0], q=pq[1],
                               seed=walk_length)
