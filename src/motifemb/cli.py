@@ -10,8 +10,9 @@ config block of its JSON report. A config file holds flat key=value lines;
 explicit flags override file values, which override defaults, and the merged
 values are validated once. Exit code 0 on success, 2 on bad input
 (unparseable graph, unknown names or choices, a config key that is not a
-flag or that repeats, a seed that is not an integer, an empty or repeating
-seed, algorithm or variant list, conflicting flags, missing files).
+flag or that repeats, a seed that is not a non-negative integer, an empty
+or repeating seed, algorithm or variant list, a threshold that is not
+"median" or a finite number, conflicting flags, missing files).
 
 ``add_run_flags`` and ``run_command`` parse it, for ``main`` and for the
 experiment scripts in scripts/.
@@ -125,6 +126,8 @@ class RunConfig(TrainConfig):
         except ValueError:
             raise ValueError(f"bad seed in seeds: {self.seeds!r}") from None
         check_list(seeds, "seed", given=self.seeds)
+        for seed in seeds:
+            self.with_seed(seed)  # raises for a seed TrainConfig rejects
         return seeds
 
     def algorithm_list(self) -> tuple[str, ...]:
@@ -136,9 +139,13 @@ class RunConfig(TrainConfig):
     def threshold_value(self) -> float | None:
         if self.threshold == "median":
             return None
-        value = float(self.threshold)
+        try:
+            value = float(self.threshold)
+        except ValueError:
+            value = np.nan
         if not np.isfinite(value):
-            raise ValueError(f"threshold must be 'median' or a finite number, got {value}")
+            raise ValueError(f"threshold must be 'median' or a finite number, "
+                             f"got {self.threshold!r}")
         return value
 
     def report_arguments(self) -> dict:

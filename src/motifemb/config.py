@@ -46,6 +46,8 @@ class TrainConfig:
                      "negatives", "epochs", "batch_size", "line_samples_factor"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be finite and > 0")
         # node2vec weighs steps by 1/p and 1/q, so those must be finite too

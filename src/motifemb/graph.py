@@ -79,22 +79,6 @@ class Graph:
             raise ValueError("node_count must be >= 1")
         if arr.size and (arr.min() < 0 or arr.max() >= node_count):
             raise ValueError("edge endpoint out of range")
-        lo = np.minimum(arr[:, 0], arr[:, 1])
-        hi = np.maximum(arr[:, 0], arr[:, 1])
-        # one int64 key per pair, ordered as the pairs (lo, hi) lexsort
-        keys = np.unique((lo * node_count + hi)[lo != hi])
-        canon = np.stack(np.divmod(keys, node_count), axis=1)
-        # CSR of [reversed edges; edges]: canon is sorted, so one stable sort
-        # by source lists each row's smaller neighbours, then its larger
-        # ones, each ascending
-        src = np.concatenate([canon[:, 1], canon[:, 0]])
-        order = np.argsort(src, kind="stable")
-        indptr = np.zeros(node_count + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=node_count), out=indptr[1:])
-        indices = np.concatenate([canon[:, 0], canon[:, 1]])[order]
-        edge_ids = order % canon.shape[0]
-        for a in (canon, indptr, indices, edge_ids, keys):
-            a.setflags(write=False)
         lab = tuple(labels) if labels is not None else None
         if lab is not None and len(lab) != node_count:
             raise ValueError("labels length must equal node_count")
@@ -107,7 +91,30 @@ class Graph:
             if label in seen:
                 raise ValueError(f"label {label!r} repeats")
             seen.add(label)
-        return cls(node_count, canon, indptr, indices, edge_ids, keys, lab)
+        lo = np.minimum(arr[:, 0], arr[:, 1])
+        hi = np.maximum(arr[:, 0], arr[:, 1])
+        # one int64 key per pair, ordered as the pairs (lo, hi) lexsort
+        return cls._from_keys(node_count, np.unique((lo * node_count + hi)[lo != hi]), lab)
+
+    @classmethod
+    def _from_keys(cls, node_count: int, keys: np.ndarray, labels: tuple | None) -> "Graph":
+        """The Graph whose ``edge_keys`` are ``keys``: sorted, unique int64
+        keys ``u * node_count + v`` with u < v < node_count. ``labels`` are
+        ones ``from_edges`` accepted. Neither is checked again, so a graph
+        derived from another one's keys and labels skips the re-validation."""
+        canon = np.stack(np.divmod(keys, node_count), axis=1)
+        # CSR of [reversed edges; edges]: canon is sorted, so one stable sort
+        # by source lists each row's smaller neighbours, then its larger
+        # ones, each ascending
+        src = np.concatenate([canon[:, 1], canon[:, 0]])
+        order = np.argsort(src, kind="stable")
+        indptr = np.zeros(node_count + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=node_count), out=indptr[1:])
+        indices = np.concatenate([canon[:, 0], canon[:, 1]])[order]
+        edge_ids = order % canon.shape[0]
+        for a in (canon, indptr, indices, edge_ids, keys):
+            a.setflags(write=False)
+        return cls(node_count, canon, indptr, indices, edge_ids, keys, labels)
 
     @property
     def edge_count(self) -> int:
@@ -287,4 +294,4 @@ def null_model_rewire(g: Graph, swaps_per_edge: int, seed: int) -> Graph:
         present.add(e2)
         keys[i] = e1
         keys[j] = e2
-    return Graph.from_edges(n, np.stack(np.divmod(np.array(keys), n), axis=1), g.labels)
+    return Graph._from_keys(n, np.sort(keys), g.labels)

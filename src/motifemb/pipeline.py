@@ -203,9 +203,9 @@ def run_report(
     and scores it with one linkpred_row call against that seed's split.
     Triangles are counted once per graph embedded, never without "mo".
     ``threshold`` is read by linkpred rows, ``clusters`` by cluster rows.
-    ``clusters`` outside [2, node count], and an algorithm, variant or seed
-    list that ``check_list`` rejects, raise ValueError before any split,
-    count or embedding.
+    ``clusters`` outside [2, node count], an algorithm, variant or seed
+    list that ``check_list`` rejects, and a negative seed raise ValueError
+    before any split, count or embedding.
     """
     if task not in ("linkpred", "cluster"):
         raise ValueError(f"unknown task {task!r}")
@@ -216,6 +216,7 @@ def run_report(
     for values, what, allowed in ((algorithms, "algorithm", ALGORITHMS),
                                   (variants, "variant", VARIANTS), (seeds, "seed", None)):
         check_list(values, what, allowed)
+    configs = {seed: config.with_seed(seed) for seed in seeds}  # rejects a negative seed
     laws: dict[str, list[str]] = {}  # walk law -> the algorithms that run it
     for algorithm in algorithms:
         unit_pq = algorithm == "node2vec" and config.p == config.q == 1
@@ -231,7 +232,7 @@ def run_report(
         for law, names in laws.items():
             groups = [graph_seeds] if law in SEED_FREE else [[seed] for seed in graph_seeds]
             for variant, group in product(variants, groups):
-                emb = embed_graph(graph, law, variant, config.with_seed(group[0]), mode, stats)
+                emb = embed_graph(graph, law, variant, configs[group[0]], mode, stats)
                 if split is None:
                     scored = cluster_row(emb, dataset, names[0], variant, group, clusters)
                 else:

@@ -239,17 +239,8 @@ def train_pairs(
     return w_center, w_ctx
 
 
-def train_sgns(
-    corpus: WalkCorpus,
-    config: TrainConfig,
-    node_count: int,
-    return_context: bool = False,
-) -> EmbeddingMatrix | tuple[EmbeddingMatrix, np.ndarray]:
-    """Trains and returns the center-vector matrix (node_count x dim).
-
-    return_context=True additionally returns the raw context matrix, which
-    the objective actually scores against; useful for probing convergence.
-    """
+def train_sgns(corpus: WalkCorpus, config: TrainConfig, node_count: int) -> EmbeddingMatrix:
+    """Trains and returns the center-vector matrix (node_count x dim)."""
     centers, contexts = extract_pairs(corpus, config.window)
     if centers.size == 0:
         raise ValueError("corpus yields no training pairs; walks too short?")
@@ -263,7 +254,6 @@ def train_sgns(
                 batch = perm[lo : lo + config.batch_size]
                 yield np.take(centers, batch), np.take(contexts, batch)
 
-    w_center, w_ctx = train_pairs(node_count, config.dim, batches(), centers.size * config.epochs,
-                                  negatives, config, rng)
-    emb = EmbeddingMatrix(w_center, {"trainer": "sgns", **asdict(config)})
-    return (emb, w_ctx) if return_context else emb
+    w_center, _ = train_pairs(node_count, config.dim, batches(), centers.size * config.epochs,
+                              negatives, config, rng)
+    return EmbeddingMatrix(w_center, {"trainer": "sgns", **asdict(config)})

@@ -81,6 +81,22 @@ def step_log(monkeypatch) -> list:
 
 
 @pytest.fixture
+def trained_pairs(monkeypatch) -> list:
+    """The (center, context) matrices of every train_pairs run train_sgns makes."""
+    import motifemb.sgns
+
+    log = []
+    real_train = motifemb.sgns.train_pairs
+
+    def recording_train(*args, **kwargs):
+        log.append(real_train(*args, **kwargs))
+        return log[-1]
+
+    monkeypatch.setattr(motifemb.sgns, "train_pairs", recording_train)
+    return log
+
+
+@pytest.fixture
 def k3() -> Graph:
     return Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
 

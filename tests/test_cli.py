@@ -122,8 +122,8 @@ class TestRunConfig:
     def test_threshold_value(self):
         assert RunConfig().threshold_value() is None
         assert RunConfig(threshold="0.4").threshold_value() == 0.4
-        for bad in ("middle", "nan", "inf", "-inf"):
-            with pytest.raises(ValueError):
+        for bad in ("middle", "abc", "nan", "inf", "-inf"):
+            with pytest.raises(ValueError, match="threshold must be 'median' or a finite"):
                 RunConfig(threshold=bad).threshold_value()
 
 
@@ -366,6 +366,9 @@ class TestExitCodes:
         (["cluster", "--variant", "mo,mo"], "variants repeat"),
         (["linkpred", "--seeds", "1,1"], "seeds repeat"),
         (["linkpred", "--threshold", "inf"], "threshold"),
+        (["linkpred", "--threshold", "abc"], "threshold"),
+        (["linkpred", "--seeds", "0,-1"], "seed must be >= 0"),
+        (["cluster", "--seed", "-2"], "seed must be >= 0"),
         (["embed", "--algorithm", "deepwalk,line", "--out", "x"], "exactly one --algorithm"),
         (["embed", "--algorithm", "line", "--out", "x"], "exactly one --variant"),
         (["embed", "--algorithm", "line", "--variant", "mo"], "--out"),
@@ -373,6 +376,7 @@ class TestExitCodes:
         (["motifs", "--null-model", "2", "--swaps-per-edge", "0"],
          "swaps_per_edge must be >= 1"),
     ], ids=["linkpred-algorithm", "cluster-variant", "seeds", "threshold",
+            "threshold-unparseable", "seeds-negative", "seed-negative",
             "embed-algorithm", "embed-variant", "embed-out", "fraction", "swaps-per-edge"])
     def test_bad_setting_is_reported_before_the_input_is_read(self, argv, setting,
                                                               tmp_path, capsys):

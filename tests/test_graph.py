@@ -13,6 +13,7 @@ from motifemb import (
     Graph,
     ParseError,
     graph_stats,
+    make_split,
     null_model_rewire,
     parse_edge_list,
     write_edge_list,
@@ -114,6 +115,29 @@ class TestLayout:
         assert g.edge_keys.dtype == np.int64 and not g.edge_keys.flags.writeable
         assert np.array_equal(g.edge_keys, g.edges[:, 0] * n + g.edges[:, 1])
         assert np.all(np.diff(g.edge_keys) > 0)
+
+    @given(messy_pairs(), st.booleans(), st.integers(min_value=0, max_value=999),
+           st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_derived_graphs_equal_a_rebuild(self, case, labelled, seed, protect):
+        # a train graph and a rewired graph, each against from_edges of its
+        # own edges and the parent's labels: every array, dtype and flag
+        n, pairs = case
+        g = Graph.from_edges(n, pairs, [f"v{i}" for i in range(n)] if labelled else None)
+        assume(g.edge_count >= 2)
+        derived = [null_model_rewire(g, 2, seed)]
+        try:
+            derived.append(make_split(g, 0.3, seed, protect_connectivity=protect).train_graph)
+        except ValueError:  # no edge to hold out, or no non-edge to match it
+            pass
+        for out in derived:
+            want = Graph.from_edges(n, out.edges, g.labels)
+            assert out.node_count == n and out.labels == g.labels
+            for name in ("edges", "indptr", "indices", "edge_ids", "edge_keys"):
+                got, ref = getattr(out, name), getattr(want, name)
+                assert (got.dtype, got.shape, got.flags.writeable, got.flags.c_contiguous) == \
+                    (ref.dtype, ref.shape, ref.flags.writeable, ref.flags.c_contiguous)
+                assert got.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("bad", [[[0.9, 1.7], [1.2, 2.9]], [[0.0, np.nan]], [[0.0, np.inf]]])
     def test_fractional_endpoints_rejected(self, bad):

@@ -87,7 +87,7 @@ class TestTrainConfig:
             ("learning_rate", float("nan")), ("learning_rate", float("inf")),
             ("p", float("nan")), ("q", float("nan")), ("p", float("inf")),
             ("q", 1e-310),
-            ("line_order", "third"), ("line_samples_factor", 0),
+            ("line_order", "third"), ("line_samples_factor", 0), ("seed", -1),
         ],
     )
     def test_invalid_values_rejected(self, field, value):
@@ -388,14 +388,16 @@ class TestRunReport:
     @pytest.mark.parametrize("lists, message", [
         (dict(seeds=()), "seeds lists no seed"),
         (dict(seeds=(1, 0, 1)), "seeds repeat: 1"),
+        (dict(seeds=(0, -1)), "seed must be >= 0, got -1"),
         (dict(algorithms=()), "algorithms lists no algorithm"),
         (dict(algorithms=("spectral", "grarep")), r"unknown algorithm\(s\): grarep"),
         (dict(algorithms=("line", "spectral", "line")), "algorithms repeat: line"),
         (dict(variants=()), "variants lists no variant"),
         (dict(variants=("mo", "extra")), r"unknown variant\(s\): extra"),
         (dict(variants=("mo", "mo")), "variants repeat: mo"),
-    ], ids=["seeds-empty", "seeds-repeat", "algorithms-empty", "algorithms-unknown",
-            "algorithms-repeat", "variants-empty", "variants-unknown", "variants-repeat"])
+    ], ids=["seeds-empty", "seeds-repeat", "seeds-negative", "algorithms-empty",
+            "algorithms-unknown", "algorithms-repeat", "variants-empty", "variants-unknown",
+            "variants-repeat"])
     def test_bad_list_rejected_before_any_split_or_count(self, small_graph, monkeypatch,
                                                          task, lists, message):
         def refuse(*args, **kwargs):

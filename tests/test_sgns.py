@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -446,9 +446,12 @@ class TestReferenceTrainers:
         learning_rate=st.sampled_from([0.025, 0.3]),
         seed=st.integers(min_value=0, max_value=9999),
     )
-    @settings(max_examples=40, deadline=None)
+    # trained_pairs is shared by the examples; each reads its own last entry
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_trainers_match_reference_loops(
-        self, trainer, weighted, batch_size, epochs, n, negatives, learning_rate, seed
+        self, trainer, weighted, batch_size, epochs, n, negatives, learning_rate, seed,
+        trained_pairs,
     ):
         g = er_graph(n, 4.0 / n, seed)
         cfg = TrainConfig(
@@ -459,7 +462,8 @@ class TestReferenceTrainers:
         )
         if trainer == "sgns":
             corpus = generate_walks(g, uniform_transitions(g), cfg)
-            emb, ctx = train_sgns(corpus, cfg, n, return_context=True)
+            emb = train_sgns(corpus, cfg, n)
+            _, ctx = trained_pairs[-1]
             want_center, want_ctx = sgns_reference.train_sgns(corpus, cfg, n)
             assert ctx.tobytes() == want_ctx.tobytes()
             assert emb.vectors.tobytes() == want_center.tobytes()
@@ -520,13 +524,14 @@ class TestTraining:
             assert np.array_equal(center_idx, want_center)
             assert np.array_equal(ctx_idx, want_ctx)
 
-    def test_training_raises_average_objective(self):
+    def test_training_raises_average_objective(self, trained_pairs):
         g = er_graph(14, 0.3, seed=2)
         cfg = self.cfg()
         corpus = generate_walks(g, uniform_transitions(g), cfg.with_seed(2))
         centers, contexts = extract_pairs(corpus, cfg.window)
         noise = noise_distribution(corpus, 14)
-        emb, ctx = train_sgns(corpus, cfg.with_seed(3), node_count=14, return_context=True)
+        emb = train_sgns(corpus, cfg.with_seed(3), node_count=14)
+        [(_, ctx)] = trained_pairs
 
         def mean_objective(center_m, ctx_m):
             rng_eval = np.random.default_rng(99)
