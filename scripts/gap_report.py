@@ -9,17 +9,25 @@ partition whose generator seed is --seed and whose block count is
 --clusters, also the k of clustering. With --datasets it is each named
 datasets/<NAME>.edges instead (see datasets/README.md; missing files are
 skipped), and the generator's --seed (as a flag or a --config key),
---nodes-per-block and --triangles-per-block are an error.
+--nodes-per-block and --triangles-per-block are an error; the printed
+config: line then leaves out the generator seed, which such a run never
+reads. --task picks linkpred, cluster or both (the default), --stats-only
+prints the statistics table and stops, and --csv FILE also writes every
+raw row, in the format of `motifemb linkpred --format csv`.
 
-Settings are the CLI's: the `motifemb linkpred`/`cluster` flags that apply
-here (--algorithm and --seeds as comma lists, --mode, --fraction,
---threshold, --clusters and every trainer flag such as --dim, --p and --q)
-and --config FILE, whose keys are those flags' names and no others. The
-defaults, which --help shows, mirror the frozen benchmark in
-tests/test_acceptance.py (criteria 7 and 8) and finish in a couple of
-minutes; file values override them and explicit flags override both.
-Standard output depends only on the settings; timings go to stderr. For
-example:
+Settings are the CLI's, declared with cli.add_run_flags and parsed by
+cli.run_command: the `motifemb linkpred`/`cluster` flags that apply here
+(--algorithm as a comma list or all, --seeds as a comma list, --mode,
+--fraction, --threshold, --clusters and every trainer flag such as --dim,
+--p and --q) and --config FILE, whose keys are those flags' names and no
+others. There is no --variant: a gap table needs both. The defaults, which
+--help shows, mirror the frozen benchmark in tests/test_acceptance.py
+(criteria 7 and 8); file values override them and explicit flags override
+both. Bad settings print an error: line and exit 2 before any graph is
+read, since run_report's arguments come from RunConfig.report_arguments()
+as in the CLI. Standard output depends only on the settings; timings go to
+stderr. node2vec's rows equal DeepWalk's at p = q = 1, so give --q or --p
+to see node2vec's own walk. For example:
 
     python3 scripts/gap_report.py --q 0.5 --algorithm deepwalk,node2vec
 """

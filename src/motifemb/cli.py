@@ -12,7 +12,8 @@ values are validated once. Exit code 0 on success, 2 on bad input
 (unparseable graph, unknown names or choices, a config key that is not a
 flag or that repeats, a seed that is not a non-negative integer, an empty
 or repeating seed, algorithm or variant list, a threshold that is not
-"median" or a finite number, conflicting flags, missing files).
+"median" or a finite number, a --dim the graph rules out, conflicting
+flags, missing files).
 
 ``add_run_flags`` and ``run_command`` parse it, for ``main`` and for the
 experiment scripts in scripts/.

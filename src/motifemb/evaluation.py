@@ -1,15 +1,4 @@
-"""Link-prediction and clustering evaluation.
-
-Link prediction: hold out the first floor(fraction * |E|) edges of a seeded
-permutation, optionally skipping edges whose removal would split a component
-(at most |E| - (|V| - c) positives with c components), pair them 1:1 with
-uniformly sampled non-edges, score candidate pairs by cosine similarity of
-endpoint embeddings, and report ranking AUC plus thresholded confusion
-metrics.
-
-Clustering: seeded k-means++ / Lloyd iterations and the mean silhouette
-coefficient under Euclidean distance.
-"""
+"""Link-prediction splits and metrics, k-means clustering and silhouette scores."""
 from __future__ import annotations
 
 import os
@@ -64,7 +53,8 @@ def make_split(
     scanning the permutation backwards. With c components, only
     |E| - (|V| - c) edges lie outside it, so
     min(floor(fraction * |E|), |E| - (|V| - c)) positives come back.
-    Negatives are distinct non-edges of the ORIGINAL graph, matched 1:1.
+    Negatives are distinct non-edges of the ORIGINAL graph, drawn uniformly
+    and matched 1:1: the first ones accepted, in draw order, then sorted.
     """
     if not 0 < fraction < 1:
         raise ValueError("fraction must be in (0, 1)")
@@ -93,19 +83,16 @@ def make_split(
     n = g.node_count
     if n * (n - 1) // 2 - m < removed.size:
         raise ValueError("graph too dense to sample matching non-edges")
-    chosen = np.empty(0, dtype=np.int64)  # accepted keys, in draw order
-    while chosen.size < removed.size:
+    chosen: dict[int, None] = {}  # accepted keys, in draw order
+    while len(chosen) < removed.size:
         draw = rng.integers(0, n, size=(2 * removed.size, 2))
         lo, hi = draw.min(axis=1), draw.max(axis=1)
         keys = (lo * n + hi)[lo != hi]
         # g.edge_keys is sorted, so membership is one searchsorted
         at = np.minimum(np.searchsorted(g.edge_keys, keys), m - 1)
-        pool = np.concatenate([chosen, keys[g.edge_keys[at] != keys]])
-        # first occurrences of keys not accepted before, in draw order
-        _, first = np.unique(pool, return_index=True)
-        fresh = np.sort(first[first >= chosen.size])[: removed.size - chosen.size]
-        chosen = np.concatenate([chosen, pool[fresh]])
-    neg = np.stack(np.divmod(np.sort(chosen), n), axis=1)
+        chosen.update(dict.fromkeys(keys[g.edge_keys[at] != keys].tolist()))
+    first = np.fromiter(chosen, dtype=np.int64, count=removed.size)
+    neg = np.stack(np.divmod(np.sort(first), n), axis=1)
     return LinkPredSplit(train, g.edges[removed], neg, seed)
 
 
@@ -228,7 +215,9 @@ def kmeans_cluster(x: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     farthest from its assigned center among the points whose cluster keeps
     another member, so exactly k clusters stay nonempty even when several
     empty in one iteration. Each center then moves to the mean of its final
-    members, so a donor's center leaves out the point it gave up.
+    members, so a donor's center leaves out the point it gave up; the means
+    are one ``_membership`` product, summing each cluster's points in
+    ascending index order.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]

@@ -1,12 +1,4 @@
-"""Edge-sampling embeddings with first- and second-order proximity.
-
-Edges are drawn with probability proportional to their weight (all ones for
-the unweighted variant), a direction is flipped uniformly, and the endpoint
-pair is trained against weighted-degree^NOISE_POWER negatives, SGNS's
-exponent. "first" shares one matrix for both roles, "second" keeps separate
-center/context matrices and returns the centers, "concat" trains an
-independent half-dimension model of each order and concatenates.
-"""
+"""LINE: edge-sampling embeddings with first- and second-order proximity."""
 from __future__ import annotations
 
 from dataclasses import asdict
@@ -41,7 +33,16 @@ def train_line(
     config: TrainConfig,
 ) -> EmbeddingMatrix:
     """LINE on ``weights``' edge weights: ``unit_adjacency`` for plain
-    LINE, ``build_motif_adjacency`` for the motif-weighted one."""
+    LINE, ``build_motif_adjacency`` for the motif-weighted one.
+
+    Each batch draws edges with probability proportional to their weight
+    and flips each one's direction uniformly; ``sgns.train_pairs`` trains
+    the endpoint pairs against weighted-degree^NOISE_POWER negatives.
+    "first" shares one matrix for both roles, "second" keeps separate
+    center and context matrices and returns the centers, and "concat" runs
+    ``train_pairs`` twice, first order then second, each at half of ``dim``
+    on its own spawned seed with the same samplers, and concatenates them.
+    """
     if config.line_order == "concat":
         if config.dim % 2:
             raise ValueError("concat order needs an even dimension")

@@ -97,14 +97,10 @@ def embed_graph(
     ``build_motif_adjacency`` for line/spectral. "base" takes the unweighted
     graph's ``uniform_transitions`` or ``unit_adjacency``. ``stats`` are the
     triangle counts of ``g``, read only by "mo"; None counts them here, and
-    counts from another graph raise ValueError.
+    counts from another graph raise ValueError. A setting ``_check_setting``
+    rejects raises ValueError before anything is counted or trained.
     """
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    if mode not in MODES:
-        raise ValueError(f"unknown motif mode {mode!r}, expected one of {MODES}")
+    _check_setting(g, algorithm, variant, config, mode)
     enhanced = variant == "mo"
     if enhanced and stats is None:
         stats = count_triangles(g)
@@ -131,6 +127,23 @@ def embed_graph(
         **asdict(config),
     }
     return EmbeddingMatrix(emb.vectors, provenance)
+
+
+def _check_setting(g: Graph, algorithm: str, variant: str, config: TrainConfig,
+                   mode: str) -> None:
+    """Raise ValueError for a setting ``embed_graph`` cannot train on ``g``:
+    an unknown algorithm, variant or mode, LINE's concat order at an odd
+    ``dim``, or spectral at a ``dim`` not below the node count."""
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
+    if mode not in MODES:
+        raise ValueError(f"unknown motif mode {mode!r}, expected one of {MODES}")
+    if algorithm == "line" and config.line_order == "concat" and config.dim % 2:
+        raise ValueError(f"concat order needs an even dimension, got dim {config.dim}")
+    if algorithm == "spectral" and config.dim >= g.node_count:
+        raise ValueError(f"dim {config.dim} must be < node count {g.node_count}")
 
 
 def _blank_row(dataset: str, algorithm: str, variant: str, seed) -> dict:
@@ -193,19 +206,22 @@ def run_report(
     """All (algorithm, variant, seed) rows for one task, sorted, plus one
     summary row per (algorithm, variant) when there are multiple seeds.
 
-    Each distinct embedding is trained once, scored once, and held only
-    while it is scored. It depends on its graph, walk law, variant and
-    seed. A walk law is the walk an algorithm runs: node2vec at p = q = 1
-    walks deepwalk's, and its rows copy deepwalk's but for ``algorithm``.
-    A SEED_FREE law embeds once per variant for all of a graph's seeds. A
-    cluster report embeds its one graph, so each embedding's seeds share
-    one cluster_row call; a linkpred report embeds each seed's train graph
-    and scores it with one linkpred_row call against that seed's split.
-    Triangles are counted once per graph embedded, never without "mo".
+    Each distinct embedding is trained once, scored once under the first
+    algorithm of its walk law, and held only while it is scored. It
+    depends on its graph, walk law, variant and seed. A walk law is the
+    walk an algorithm runs: node2vec at p = q = 1 walks deepwalk's, and
+    its rows copy deepwalk's but for ``algorithm``. A SEED_FREE law embeds
+    once per variant for all of a graph's seeds. A cluster report embeds
+    its one graph, so each embedding's seeds share one cluster_row call; a
+    linkpred report splits once per seed, embeds that seed's train graph
+    and scores it with one linkpred_row call against the split. Triangles
+    are counted once per graph embedded, never without "mo".
     ``threshold`` is read by linkpred rows, ``clusters`` by cluster rows.
+    These raise ValueError before any split, count or embedding:
     ``clusters`` outside [2, node count], an algorithm, variant or seed
-    list that ``check_list`` rejects, and a negative seed raise ValueError
-    before any split, count or embedding.
+    list that ``check_list`` rejects, a negative seed, a threshold that
+    is neither None nor finite, and any requested (algorithm, variant)
+    that ``_check_setting`` rejects with this ``config`` and ``mode``.
     """
     if task not in ("linkpred", "cluster"):
         raise ValueError(f"unknown task {task!r}")
@@ -217,6 +233,10 @@ def run_report(
                                   (variants, "variant", VARIANTS), (seeds, "seed", None)):
         check_list(values, what, allowed)
     configs = {seed: config.with_seed(seed) for seed in seeds}  # rejects a negative seed
+    if threshold is not None and not np.isfinite(threshold):
+        raise ValueError(f"threshold must be None or a finite number, got {threshold!r}")
+    for algorithm, variant in product(algorithms, variants):
+        _check_setting(g, algorithm, variant, config, mode)
     laws: dict[str, list[str]] = {}  # walk law -> the algorithms that run it
     for algorithm in algorithms:
         unit_pq = algorithm == "node2vec" and config.p == config.q == 1

@@ -1,26 +1,4 @@
-"""Skip-gram with negative sampling, and the one SGD driver SGNS and LINE share.
-
-``train_pairs`` is the training loop of both. It starts center vectors at
-uniform(-0.5, 0.5)/dim and context vectors at zero (LINE's first order
-shares one matrix for both roles), decays the learning rate linearly over
-the pair budget with a floor of 1e-4 times the initial rate, draws each
-batch's negatives right after the batch, and applies ``sgns_step``. The
-callers only supply the (center, context) batches: ``train_sgns`` one
-permutation of the window pairs per epoch, ``train_line`` weighted edge
-draws with random flips. Minibatches run in a fixed order with exact
-gradient accumulation (duplicate rows within a batch are summed), so
-results are deterministic for a given input and config.
-
-``sgns_step``'s scatter kernel sums each row's gradients in batch order
-with one sparse-times-dense product (no (b, k+1, d) gradient tensor is
-built). ``CumulativeSampler``, built once per run, draws exactly what
-``rng.choice(n, size, p=noise)`` and LINE's clamped ``searchsorted`` edge
-pick draw, from the same generator calls.
-
-Because contexts start at zero, center vectors receive no gradient until
-the second minibatch; keep batch_size well below the pair count (or epochs
-above 1) or the run degenerates to the random init.
-"""
+"""Skip-gram with negative sampling, and the one SGD driver SGNS and LINE share."""
 from __future__ import annotations
 
 from dataclasses import asdict
@@ -224,8 +202,18 @@ def train_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(center, context) matrices trained on ``batches``, an iterator of
     (center ids, positive context ids) that may draw from ``rng`` itself;
-    it is advanced only after the init draw. ``total`` is the pair budget
-    the learning rate decays over; ``shared`` gives one matrix both roles."""
+    it is advanced only after the init draw.
+
+    Center vectors start at uniform(-0.5, 0.5)/dim, context vectors at zero
+    (``shared`` gives one matrix both roles, as LINE's first order needs).
+    The learning rate decays linearly over ``total`` pairs, with a floor of
+    LR_FLOOR_FACTOR times the initial rate. Each batch's negatives are drawn
+    right after the batch, then ``sgns_step`` applies it. Batches run in a
+    fixed order and sum a row's duplicate gradients exactly, so the result
+    is a function of the inputs and ``rng``. Because contexts start at
+    zero, center vectors get no gradient until the second batch: a single
+    batch in a single epoch returns the random init.
+    """
     w_center = (rng.random((node_count, dim)) - 0.5) / dim
     w_ctx = w_center if shared else np.zeros((node_count, dim))
     lr0 = config.learning_rate
@@ -240,7 +228,9 @@ def train_pairs(
 
 
 def train_sgns(corpus: WalkCorpus, config: TrainConfig, node_count: int) -> EmbeddingMatrix:
-    """Trains and returns the center-vector matrix (node_count x dim)."""
+    """Trains and returns the center-vector matrix (node_count x dim):
+    ``train_pairs`` on one fresh permutation of the window pairs per epoch,
+    against unigram^NOISE_POWER negatives."""
     centers, contexts = extract_pairs(corpus, config.window)
     if centers.size == 0:
         raise ValueError("corpus yields no training pairs; walks too short?")

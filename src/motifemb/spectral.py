@@ -35,11 +35,11 @@ def smallest_eigenpairs(lap: sp.csr_matrix, k: int) -> tuple[np.ndarray, np.ndar
     """k smallest eigenvalues (ascending) and unit eigenvectors of a symmetric
     PSD matrix. Uses dense LAPACK when the iterative solver cannot be used
     (n at most DENSE_CUTOFF, or k too close to n). When ARPACK does not
-    converge it retries once with a larger Krylov space and more iterations,
-    then falls back to LAPACK up to DENSE_FALLBACK_MAX nodes and raises
-    RuntimeError above that. ARPACK's start vector is fixed: it changes how
-    the solver converges, not the eigenpairs it converges to, so the result
-    is a function of ``lap`` alone."""
+    converge it retries once with twice scipy's default Krylov space and 10x
+    its iterations, then falls back to LAPACK up to DENSE_FALLBACK_MAX nodes
+    and raises RuntimeError above that. ARPACK's start vector is fixed: it
+    changes how the solver converges, not the eigenpairs it converges to, so
+    the result is a function of ``lap`` alone."""
     n = lap.shape[0]
     if k < 1 or k > n:
         raise ValueError(f"need 1 <= k <= {n}, got {k}")
@@ -84,7 +84,11 @@ def train_spectral(
     graph, ``build_motif_adjacency`` for the motif-weighted one), computed
     per connected component (each component contributes its own trivial
     zero eigenpair, which is dropped). Components with fewer than dim + 1
-    nodes get zero padding in the missing columns."""
+    nodes get zero padding in the missing columns. The nodes are sorted by
+    component once (stably, so each component's nodes stay ascending) and
+    the Laplacian is permuted once, so each component is a diagonal block
+    and the time grows with |E| plus the number of components. Reads no
+    seed: the result depends on ``weights`` and ``dim`` alone."""
     if dim >= g.node_count:
         raise ValueError(f"dim {dim} must be < node count {g.node_count}")
     n_comp, comp_labels = connected_components(weights.matrix, directed=False)

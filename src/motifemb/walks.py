@@ -109,7 +109,9 @@ def generate_walks(
     ``build_transition_model`` the motif-biased walk.
 
     Starts walks_per_node passes over a reshuffled node order; deterministic
-    per config.seed.
+    per config.seed. All walkers of a pass step in lockstep and draw the
+    same ``rng.random`` values, in the same order, as a one-walk-at-a-time
+    loop, so the corpus is that loop's.
     """
     return _walks(g, transitions, config, second_order=False)
 
@@ -128,7 +130,12 @@ def node2vec_walks(
     mass (all ones for ``uniform_transitions``, recovering plain
     node2vec). The first step is first-order. Walkers step in lockstep, on
     the stream of a one-walker loop; at p = q = 1 these are generate_walks'
-    walks.
+    walks, generator stream included. Each later step groups the walkers
+    by the degree d of the node they stand on and weighs a group's
+    candidates as one (walkers x d) array, in blocks of at most _BLOCK
+    candidates, and sums each row in the order of a one-walker step. So the
+    corpus is byte for byte that of stepping one walker at a time, and a
+    step's cost grows with the summed degree of the walkers' nodes.
     """
     # not generate_walks: a wrapper on the public walkers (as in
     # benchmark/tracer.py) must see each corpus built exactly once

@@ -385,6 +385,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert setting in err and "missing.edges" not in err
 
+    def test_setting_the_graph_rules_out_exits_before_any_training(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("split or embedded before the settings were checked")
+
+        monkeypatch.setattr(pipeline, "make_split", refuse)
+        monkeypatch.setattr(pipeline, "embed_graph", refuse)
+        out = tmp_path / "report.json"
+        assert main(["linkpred", "--synthetic", "ppm", "--dim", "7", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: concat order needs an even "
+                                                  "dimension, got dim 7")
+        assert not out.exists()
+
     def test_success_is_zero(self, k3_file, capsys):
         assert main(["stats", "--input", k3_file]) == 0
         capsys.readouterr()

@@ -1,17 +1,21 @@
-"""The README's command examples parse with the real parsers, and every
-name its Python examples import from motifemb exists, so a flag or function
-renamed or removed cannot stay in the docs. Nothing is run: each command
-example only goes through its parser's ``parse_args``."""
+"""The README's command examples parse with the real parsers, every name
+its Python examples import from motifemb exists, and so does every name its
+prose cites as `module.name` or as a `name(...)` call, so a flag or
+function renamed or removed cannot stay in the docs. Nothing is run: each
+command example only goes through its parser's ``parse_args``."""
 from __future__ import annotations
 
 import ast
+import builtins
 import importlib
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+import motifemb
 from motifemb import cli
 
 from conftest import SCRIPT_DIR, load_script
@@ -72,3 +76,36 @@ def test_readme_python_examples_import_from_motifemb():
                          ids=[f"{module}.{name}" for module, name in PYTHON_IMPORTS])
 def test_readme_python_import_exists(module, name):
     assert hasattr(importlib.import_module(module), name)
+
+
+SUBMODULES = {info.name for info in pkgutil.iter_modules(motifemb.__path__)}
+# bare calls that are math notation, not code
+MATH_NOTATION = {"floor"}
+
+
+def readme_cited_names() -> list[tuple[str, str]]:
+    """(submodule, name) for every `submodule.name` in the README's inline
+    code, and ("", name) for every bare `name(` call there; code blocks and
+    paths such as `tests/x.py` are left out."""
+    prose = re.sub(r"^```.*?^```", "", README.read_text(), flags=re.M | re.S)
+    cited = set()
+    for span in re.findall(r"`([^`]+)`", prose):
+        cited.update((module, name) for module, name
+                     in re.findall(r"(?<![\w./])([a-z_]\w*)\.([A-Za-z_]\w*)", span)
+                     if module in SUBMODULES)
+        cited.update(("", name) for name in re.findall(r"(?<![\w./])([A-Za-z_]\w*)\(", span)
+                     if name not in MATH_NOTATION)
+    return sorted(cited)
+
+
+def cited_name_exists(module: str, name: str) -> bool:
+    homes = [importlib.import_module(f"motifemb.{module}")] if module else [motifemb, builtins]
+    return any(hasattr(home, name) for home in homes)
+
+
+def test_readme_cited_names_exist():
+    cited = readme_cited_names()
+    assert {module for module, _ in cited} > {""}  # both kinds are found
+    missing = [f"{module}.{name}" if module else f"{name}(" for module, name in cited
+               if not cited_name_exists(module, name)]
+    assert not missing, f"README cites names that do not exist: {missing}"

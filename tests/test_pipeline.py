@@ -395,9 +395,15 @@ class TestRunReport:
         (dict(variants=()), "variants lists no variant"),
         (dict(variants=("mo", "extra")), r"unknown variant\(s\): extra"),
         (dict(variants=("mo", "mo")), "variants repeat: mo"),
+        (dict(mode="bogus"), "unknown motif mode 'bogus'"),
+        (dict(threshold=float("nan")), "threshold must be None or a finite number, got nan"),
+        (dict(algorithms=("spectral", "line"), config=dataclasses.replace(FAST, dim=5)),
+         "concat order needs an even dimension, got dim 5"),
+        (dict(config=dataclasses.replace(FAST, dim=18)), "dim 18 must be < node count 18"),
     ], ids=["seeds-empty", "seeds-repeat", "seeds-negative", "algorithms-empty",
             "algorithms-unknown", "algorithms-repeat", "variants-empty", "variants-unknown",
-            "variants-repeat"])
+            "variants-repeat", "mode-unknown", "threshold-nan", "line-concat-odd-dim",
+            "spectral-dim-at-node-count"])
     def test_bad_list_rejected_before_any_split_or_count(self, small_graph, monkeypatch,
                                                          task, lists, message):
         def refuse(*args, **kwargs):
