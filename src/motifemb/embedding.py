@@ -54,7 +54,13 @@ def _labels_for(emb: EmbeddingMatrix, labels) -> list[str]:
         return [str(i) for i in range(emb.node_count)]
     if len(labels) != emb.node_count:
         raise ValueError("label count does not match embedding rows")
-    return [str(x) for x in labels]
+    out = [str(x) for x in labels]
+    for label in out:
+        # a row is read back as whitespace-split fields, label first
+        if label.split() != [label]:
+            raise ValueError(f"label {label!r} is empty or holds whitespace, "
+                             "so its row would not load back")
+    return out
 
 
 def save_embedding_text(emb: EmbeddingMatrix, path, labels=None) -> None:

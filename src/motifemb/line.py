@@ -15,7 +15,14 @@ __all__ = ["edge_sampling_tables", "train_line"]
 
 
 def edge_sampling_tables(g: Graph, weights: WeightedAdjacency):
-    """(edge cumulative probabilities, negative-sampling distribution)."""
+    """(edge cumulative probabilities, negative-sampling distribution).
+
+    ValueError unless ``weights`` has ``g``'s node count and one weight per
+    edge of ``g``. Weights of another graph with the same counts pass: LINE
+    reads only ``edge_weights``, and hand-built weights may leave
+    ``matrix`` empty, so there is no CSR pattern to compare."""
+    if weights.node_count != g.node_count or weights.edge_weights.size != g.edge_count:
+        raise ValueError("weights were built on a different graph")
     w = weights.edge_weights.astype(np.float64)
     if w.sum() <= 0:
         raise ValueError("all edge weights are zero; nothing to sample")

@@ -109,9 +109,9 @@ def embed_graph(
         transitions = (build_transition_model(g, stats, mode) if enhanced
                        else uniform_transitions(g))
         if algorithm == "deepwalk":
-            corpus = generate_walks(g, transitions, config)
+            corpus = generate_walks(transitions, config)
         else:
-            corpus = node2vec_walks(g, transitions, config)
+            corpus = node2vec_walks(transitions, config)
         emb = train_sgns(corpus, config, g.node_count)
     else:
         weights = build_motif_adjacency(g, stats) if enhanced else unit_adjacency(g)

@@ -88,7 +88,14 @@ def train_spectral(
     component once (stably, so each component's nodes stay ascending) and
     the Laplacian is permuted once, so each component is a diagonal block
     and the time grows with |E| plus the number of components. Reads no
-    seed: the result depends on ``weights`` and ``dim`` alone."""
+    seed: the result depends on ``weights`` and ``dim`` alone. ``g`` must be
+    the graph ``weights`` was built on (same node count and CSR pattern),
+    else ValueError."""
+    if weights.node_count != g.node_count or not (
+        np.array_equal(weights.matrix.indptr, g.indptr)
+        and np.array_equal(weights.matrix.indices, g.indices)
+    ):
+        raise ValueError("weights were built on a different graph")
     if dim >= g.node_count:
         raise ValueError(f"dim {dim} must be < node count {g.node_count}")
     n_comp, comp_labels = connected_components(weights.matrix, directed=False)

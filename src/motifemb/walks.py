@@ -6,7 +6,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TrainConfig
-from .graph import Graph
 from .motifs import TransitionModel
 
 __all__ = ["WalkCorpus", "generate_walks", "node2vec_walks"]
@@ -47,11 +46,11 @@ def _degree_blocks(deg: np.ndarray):
             yield d, order[at:min(at + max(1, _BLOCK // d), hi)]
 
 
-def _walks(g: Graph, model: TransitionModel, config: TrainConfig,
-           second_order: bool) -> WalkCorpus:
-    """Advances every walker of a pass in lockstep. Only isolated starts stop
-    early, so one ``rng.random((live, walk_length - 1))`` per pass, read
-    column by column, is the stream of drawing one step at a time."""
+def _walks(model: TransitionModel, config: TrainConfig, second_order: bool) -> WalkCorpus:
+    """Advances every walker of a pass in lockstep over ``model``'s CSR, the
+    only graph it reads. Only isolated starts stop early, so one
+    ``rng.random((live, walk_length - 1))`` per pass, read column by column,
+    is the stream of drawing one step at a time."""
     rng = np.random.default_rng(config.seed)
     n, length = model.node_count, config.walk_length
     deg = np.diff(model.indptr)
@@ -64,8 +63,8 @@ def _walks(g: Graph, model: TransitionModel, config: TrainConfig,
         cum[pos] = np.cumsum(model.probs[pos], axis=1)
     strides = [1 << s for s in reversed(range(int(deg.max(initial=0)).bit_length()))]
     inv_p, inv_q = 1.0 / config.p, 1.0 / config.q
-    # g's sorted CSR keys: t is adjacent to x iff t * n + x is one of them
-    keys = np.repeat(np.arange(n), g.degrees) * n + g.indices if second_order else None
+    # the model's sorted CSR keys: t is adjacent to x iff t * n + x is one of them
+    keys = np.repeat(np.arange(n), deg) * n + model.indices if second_order else None
     tokens = np.full((config.walks_per_node, n, length), -1, dtype=np.int64)
     for rows in tokens:
         rows[:, 0] = rng.permutation(n)
@@ -99,44 +98,39 @@ def _walks(g: Graph, model: TransitionModel, config: TrainConfig,
     return WalkCorpus(tokens.reshape(-1, length), config.walks_per_node, length)
 
 
-def generate_walks(
-    g: Graph,
-    transitions: TransitionModel,
-    config: TrainConfig,
-) -> WalkCorpus:
+def generate_walks(transitions: TransitionModel, config: TrainConfig) -> WalkCorpus:
     """First-order walks: next node drawn from the transition row of the
     current node. ``uniform_transitions`` gives classic DeepWalk,
-    ``build_transition_model`` the motif-biased walk.
+    ``build_transition_model`` the motif-biased walk. The walks stay on the
+    graph ``transitions`` was built on: a train graph's walks need that
+    graph's model.
 
     Starts walks_per_node passes over a reshuffled node order; deterministic
     per config.seed. All walkers of a pass step in lockstep and draw the
     same ``rng.random`` values, in the same order, as a one-walk-at-a-time
     loop, so the corpus is that loop's.
     """
-    return _walks(g, transitions, config, second_order=False)
+    return _walks(transitions, config, second_order=False)
 
 
-def node2vec_walks(
-    g: Graph,
-    transitions: TransitionModel,
-    config: TrainConfig,
-) -> WalkCorpus:
+def node2vec_walks(transitions: TransitionModel, config: TrainConfig) -> WalkCorpus:
     """Second-order walks with return parameter config.p and in-out
     parameter config.q.
 
     From the previous step (t -> v), candidate x gets unnormalized weight
     alpha(t, x) * base(v, x): alpha is 1/p when x == t, 1 when x is adjacent
-    to t in g, 1/q otherwise; base is the transition model's unnormalized
-    mass (all ones for ``uniform_transitions``, recovering plain
-    node2vec). The first step is first-order. Walkers step in lockstep, on
-    the stream of a one-walker loop; at p = q = 1 these are generate_walks'
-    walks, generator stream included. Each later step groups the walkers
-    by the degree d of the node they stand on and weighs a group's
-    candidates as one (walkers x d) array, in blocks of at most _BLOCK
-    candidates, and sums each row in the order of a one-walker step. So the
-    corpus is byte for byte that of stepping one walker at a time, and a
-    step's cost grows with the summed degree of the walkers' nodes.
+    to t in the graph ``transitions`` was built on, 1/q otherwise; base is
+    the transition model's unnormalized mass (all ones for
+    ``uniform_transitions``, recovering plain node2vec). The first step is
+    first-order. Walkers step in lockstep, on the stream of a one-walker
+    loop; at p = q = 1 these are generate_walks' walks, generator stream
+    included. Each later step groups the walkers by the degree d of the
+    node they stand on and weighs a group's candidates as one (walkers x d)
+    array, in blocks of at most _BLOCK candidates, and sums each row in the
+    order of a one-walker step. So the corpus is byte for byte that of
+    stepping one walker at a time, and a step's cost grows with the summed
+    degree of the walkers' nodes.
     """
     # not generate_walks: a wrapper on the public walkers (as in
     # benchmark/tracer.py) must see each corpus built exactly once
-    return _walks(g, transitions, config, second_order=not config.p == config.q == 1)
+    return _walks(transitions, config, second_order=not config.p == config.q == 1)

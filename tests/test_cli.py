@@ -8,6 +8,7 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -27,7 +28,7 @@ from motifemb.cli import RunConfig, main
 from motifemb.config import field_types
 from motifemb.pipeline import ALGORITHMS, REPORT_COLUMNS
 
-from conftest import er_graph, load_script
+from conftest import SCRIPT_DIR, er_graph, load_script
 
 FAST_FLAGS = [
     "--dim", "4", "--walks-per-node", "3", "--walk-length", "10",
@@ -683,9 +684,11 @@ class TestReports:
 
 class TestModuleEntryPoint:
     def test_python_dash_m(self, k3_file):
+        # the subprocess finds the package as pytest's pythonpath does
+        env = {**os.environ, "PYTHONPATH": str(SCRIPT_DIR.parent / "src")}
         proc = subprocess.run(
             [sys.executable, "-m", "motifemb", "stats", "--input", k3_file],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["num_edges"] == 3

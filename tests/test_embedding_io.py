@@ -88,6 +88,14 @@ class TestTextFormat:
         assert np.array_equal(back.vectors, emb.vectors)
         assert back.provenance == {"trainer": "sgns"}
 
+    @pytest.mark.parametrize("bad", ["a b", ""])
+    def test_unreadable_label_rejected_before_writing(self, tmp_path, bad):
+        path = tmp_path / "e.txt"
+        emb = EmbeddingMatrix(np.ones((3, 2)))
+        with pytest.raises(ValueError, match=f"label {bad!r}"):
+            save_embedding_text(emb, path, labels=[bad, "c", "d"])
+        assert not path.exists()
+
     def test_row_count_mismatch_rejected(self, tmp_path):
         path = tmp_path / "e.txt"
         path.write_text("3 2\na 1.0 2.0\nb 3.0 4.0\n")

@@ -81,9 +81,9 @@ def stage_peaks(nodes_per_block: int, tmp_path) -> tuple[int, dict[str, int]]:
     run("Graph.from_edges", lambda: Graph.from_edges(g.node_count, g.edges))
     stats = run("count_triangles", lambda: count_triangles(g))
     model = run("build_transition_model", lambda: build_transition_model(g, stats))
-    corpus = run("generate_walks", lambda: generate_walks(g, model, CONFIG))
+    corpus = run("generate_walks", lambda: generate_walks(model, CONFIG))
     # second-order steps weigh blocks of candidates, capped in size
-    run("node2vec_walks", lambda: node2vec_walks(g, model, replace(CONFIG, q=0.5)))
+    run("node2vec_walks", lambda: node2vec_walks(model, replace(CONFIG, q=0.5)))
     run("extract_pairs", lambda: extract_pairs(corpus, CONFIG.window))
     emb = run("train_sgns", lambda: train_sgns(corpus, CONFIG, g.node_count))
     run("train_line", lambda: train_line(g, unit_adjacency(g), CONFIG))
@@ -122,8 +122,8 @@ def skewed_peaks(nodes: int, edges: int) -> tuple[int, dict[str, int]]:
     stats = run("count_triangles", lambda: count_triangles(g))
     run("null_model_rewire", lambda: null_model_rewire(g, 1, 0))
     model = run("build_transition_model", lambda: build_transition_model(g, stats))
-    run("generate_walks", lambda: generate_walks(g, model, CONFIG))
-    run("node2vec_walks", lambda: node2vec_walks(g, model, replace(CONFIG, q=0.5)))
+    run("generate_walks", lambda: generate_walks(model, CONFIG))
+    run("node2vec_walks", lambda: node2vec_walks(model, replace(CONFIG, q=0.5)))
     run("make_split", lambda: make_split(g, 0.1, 0))
     return g.edge_count, peaks
 

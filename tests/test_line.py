@@ -9,9 +9,11 @@ import scipy.sparse as sp
 from scipy import stats as sps
 
 from motifemb import (
+    Graph,
     TrainConfig,
     build_motif_adjacency,
     count_triangles,
+    make_split,
     train_line,
     unit_adjacency,
 )
@@ -79,6 +81,15 @@ class TestSamplingTables:
         )
         with pytest.raises(ValueError):
             edge_sampling_tables(tri_pendant, dead)
+
+    def test_weights_of_another_graph_rejected(self):
+        # fewer edges (a train graph), then one node more (an isolated one);
+        # weights of a graph with the same counts are not told apart
+        g = er_graph(30, 0.3, seed=0)
+        for other in (make_split(g, 0.1, 0).train_graph,
+                      Graph.from_edges(g.node_count + 1, g.edges)):
+            with pytest.raises(ValueError, match="different graph"):
+                train_line(other, unit_adjacency(g), line_config())
 
 
 class TestTrainLine:

@@ -172,24 +172,25 @@ class TestEmbedGraph:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_every_trainer_gets_a_model(self, small_graph, monkeypatch, algorithm, variant):
         # embed_graph builds both variants' models; base trains on the
-        # unweighted graph's uniform rows or unit weights, byte for byte
+        # unweighted graph's uniform rows or unit weights, byte for byte.
+        # The walkers take the model first, LINE and spectral second.
         g, cfg = small_graph, dataclasses.replace(FAST, q=0.5, seed=1)
-        name, unit = {"deepwalk": ("generate_walks", uniform_transitions),
-                      "node2vec": ("node2vec_walks", uniform_transitions),
-                      "line": ("train_line", unit_adjacency),
-                      "spectral": ("train_spectral", unit_adjacency)}[algorithm]
+        name, unit, at = {"deepwalk": ("generate_walks", uniform_transitions, 0),
+                          "node2vec": ("node2vec_walks", uniform_transitions, 0),
+                          "line": ("train_line", unit_adjacency, 1),
+                          "spectral": ("train_spectral", unit_adjacency, 1)}[algorithm]
         train, models = getattr(pipeline, name), []
 
-        def record(graph, model, *rest):
-            models.append(model)
-            return train(graph, model, *rest)
+        def record(*args):
+            models.append(args[at])
+            return train(*args)
 
         monkeypatch.setattr(pipeline, name, record)
         emb = embed_graph(g, algorithm, variant, cfg, "strict")
         assert len(models) == 1 and isinstance(models[0], type(unit(g)))
         if variant == "base":
             if algorithm in ("deepwalk", "node2vec"):
-                want = train_sgns(train(g, unit(g), cfg), cfg, g.node_count)
+                want = train_sgns(train(unit(g), cfg), cfg, g.node_count)
             else:
                 want = train(g, unit(g), cfg.dim if algorithm == "spectral" else cfg)
             assert emb.vectors.tobytes() == want.vectors.tobytes()

@@ -413,7 +413,7 @@ class TestReferenceStep:
 
         def train() -> bytes:
             if trainer == "sgns":
-                corpus = generate_walks(g, uniform_transitions(g), cfg)
+                corpus = generate_walks(uniform_transitions(g), cfg)
                 return train_sgns(corpus, cfg, n).vectors.tobytes()
             return train_line(g, unit_adjacency(g), cfg).vectors.tobytes()
 
@@ -461,7 +461,7 @@ class TestReferenceTrainers:
             line_order="first" if trainer == "sgns" else trainer,
         )
         if trainer == "sgns":
-            corpus = generate_walks(g, uniform_transitions(g), cfg)
+            corpus = generate_walks(uniform_transitions(g), cfg)
             emb = train_sgns(corpus, cfg, n)
             _, ctx = trained_pairs[-1]
             want_center, want_ctx = sgns_reference.train_sgns(corpus, cfg, n)
@@ -485,14 +485,14 @@ class TestTraining:
 
     def test_shapes_and_provenance(self):
         g = er_graph(12, 0.3, seed=0)
-        corpus = generate_walks(g, uniform_transitions(g), self.cfg())
+        corpus = generate_walks(uniform_transitions(g), self.cfg())
         emb = train_sgns(corpus, self.cfg(), node_count=g.node_count)
         assert emb.vectors.shape == (12, 8)
         assert np.all(np.isfinite(emb.vectors))
 
     def test_bitwise_determinism(self):
         g = er_graph(12, 0.3, seed=1)
-        corpus = generate_walks(g, uniform_transitions(g), self.cfg(seed=1))
+        corpus = generate_walks(uniform_transitions(g), self.cfg(seed=1))
         a = train_sgns(corpus, self.cfg(seed=5), node_count=12)
         b = train_sgns(corpus, self.cfg(seed=5), node_count=12)
         c = train_sgns(corpus, self.cfg(seed=6), node_count=12)
@@ -505,7 +505,7 @@ class TestTraining:
         # never occurs in the corpus, so it has noise probability zero
         g = er_graph(15, 0.3, seed=7)
         cfg = self.cfg(epochs=2, batch_size=50)
-        corpus = generate_walks(g, uniform_transitions(g), cfg.with_seed(7))
+        corpus = generate_walks(uniform_transitions(g), cfg.with_seed(7))
         train_sgns(corpus, cfg.with_seed(11), node_count=16)
 
         centers, contexts = extract_pairs(corpus, cfg.window)
@@ -527,7 +527,7 @@ class TestTraining:
     def test_training_raises_average_objective(self, trained_pairs):
         g = er_graph(14, 0.3, seed=2)
         cfg = self.cfg()
-        corpus = generate_walks(g, uniform_transitions(g), cfg.with_seed(2))
+        corpus = generate_walks(uniform_transitions(g), cfg.with_seed(2))
         centers, contexts = extract_pairs(corpus, cfg.window)
         noise = noise_distribution(corpus, 14)
         emb = train_sgns(corpus, cfg.with_seed(3), node_count=14)
@@ -556,7 +556,7 @@ class TestTraining:
         edges = list(map(tuple, two_k4.edges)) + [(3, 4)]
         g = Graph.from_edges(8, edges)
         cfg = self.cfg(dim=6, walks_per_node=20, walk_length=20, epochs=5, seed=4)
-        corpus = generate_walks(g, uniform_transitions(g), cfg)
+        corpus = generate_walks(uniform_transitions(g), cfg)
         emb = train_sgns(corpus, cfg, node_count=8)
         v = emb.vectors / np.linalg.norm(emb.vectors, axis=1, keepdims=True)
         sims = v @ v.T
@@ -579,7 +579,7 @@ def test_default_config_stays_bounded_on_small_graph(trainer):
     g = er_graph(34, 0.15, seed=0)
     cfg = TrainConfig()
     if trainer == "deepwalk":
-        emb = train_sgns(generate_walks(g, uniform_transitions(g), cfg), cfg, node_count=34)
+        emb = train_sgns(generate_walks(uniform_transitions(g), cfg), cfg, node_count=34)
     else:
         emb = train_line(g, unit_adjacency(g), cfg)
     assert np.linalg.norm(emb.vectors, axis=1).max() < 100

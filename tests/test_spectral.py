@@ -15,6 +15,7 @@ from motifemb import (
     Graph,
     build_motif_adjacency,
     count_triangles,
+    make_split,
     train_spectral,
     unit_adjacency,
 )
@@ -196,6 +197,13 @@ class TestTrainSpectral:
             train_spectral(k4, unit_adjacency(k4), dim=4)
         with pytest.raises(ValueError):
             train_spectral(k4, unit_adjacency(k4), dim=5)
+
+    def test_weights_of_another_graph_rejected(self):
+        # a train graph keeps every node, so only the CSR pattern tells the
+        # full graph's weights apart
+        g = er_graph(30, 0.3, seed=0)
+        with pytest.raises(ValueError, match="different graph"):
+            train_spectral(make_split(g, 0.1, 0).train_graph, unit_adjacency(g), 8)
 
     def test_trivial_direction_dropped(self):
         # connected graph: every column must be orthogonal to sqrt(degree),

@@ -55,9 +55,9 @@ class TestCorpusShape:
         g = er_graph(n, p, seed)
         cfg = walk_config(seed=seed)
         if second_order:
-            corpus = node2vec_walks(g, uniform_transitions(g), cfg)
+            corpus = node2vec_walks(uniform_transitions(g), cfg)
         else:
-            corpus = generate_walks(g, uniform_transitions(g), cfg)
+            corpus = generate_walks(uniform_transitions(g), cfg)
         assert len(corpus) == cfg.walks_per_node * g.node_count
         tokens = corpus.tokens
         assert tokens.shape == (len(corpus), cfg.walk_length)
@@ -78,7 +78,7 @@ class TestCorpusShape:
 
     def test_isolated_start_is_singleton(self):
         g = Graph.from_edges(3, [(0, 1)])
-        corpus = generate_walks(g, uniform_transitions(g), walk_config())
+        corpus = generate_walks(uniform_transitions(g), walk_config())
         for w in corpus.tokens:
             if w[0] == 2:
                 assert np.all(w[1:] == -1)
@@ -87,9 +87,9 @@ class TestCorpusShape:
 
     def test_seed_determinism(self, tri_pendant):
         cfg = walk_config()
-        a = generate_walks(tri_pendant, uniform_transitions(tri_pendant), cfg.with_seed(7))
-        b = generate_walks(tri_pendant, uniform_transitions(tri_pendant), cfg.with_seed(7))
-        c = generate_walks(tri_pendant, uniform_transitions(tri_pendant), cfg.with_seed(8))
+        a = generate_walks(uniform_transitions(tri_pendant), cfg.with_seed(7))
+        b = generate_walks(uniform_transitions(tri_pendant), cfg.with_seed(7))
+        c = generate_walks(uniform_transitions(tri_pendant), cfg.with_seed(8))
         assert np.array_equal(a.tokens, b.tokens)
         assert not np.array_equal(a.tokens, c.tokens)
 
@@ -99,9 +99,7 @@ class TestFirstOrderDistribution:
         tm = build_transition_model(
             tri_pendant, count_triangles(tri_pendant), "strict"
         )
-        corpus = generate_walks(
-            tri_pendant, tm, walk_config(walks_per_node=150, walk_length=40)
-        )
+        corpus = generate_walks(tm, walk_config(walks_per_node=150, walk_length=40))
         counts = transition_counts(corpus, 2, 4)
         assert counts[3] == 0  # edge (2,3) sits in no triangle
         assert counts[0] > 0 and counts[1] > 0
@@ -112,9 +110,7 @@ class TestFirstOrderDistribution:
         tm = build_transition_model(
             tri_pendant, count_triangles(tri_pendant), "smoothed"
         )
-        corpus = generate_walks(
-            tri_pendant, tm, walk_config(walks_per_node=300, walk_length=40, seed=1)
-        )
+        corpus = generate_walks(tm, walk_config(walks_per_node=300, walk_length=40, seed=1))
         counts = transition_counts(corpus, 2, 4)[[0, 1, 3]]
         expected = np.array([4 / 11, 4 / 11, 3 / 11]) * counts.sum()
         chi = sps.chisquare(counts, expected)
@@ -122,7 +118,7 @@ class TestFirstOrderDistribution:
 
     def test_uniform_default_row(self, tri_pendant):
         corpus = generate_walks(
-            tri_pendant, uniform_transitions(tri_pendant),
+            uniform_transitions(tri_pendant),
             walk_config(walks_per_node=300, walk_length=40, seed=2),
         )
         counts = transition_counts(corpus, 2, 4)[[0, 1, 3]]
@@ -133,7 +129,7 @@ class TestFirstOrderDistribution:
 class TestSecondOrder:
     def test_huge_p_forbids_backtracking(self, c4):
         corpus = node2vec_walks(
-            c4, uniform_transitions(c4),
+            uniform_transitions(c4),
             walk_config(walks_per_node=50, walk_length=20, p=1e12, q=1.0, seed=3),
         )
         t = corpus.tokens
@@ -142,7 +138,7 @@ class TestSecondOrder:
     def test_tiny_q_pushes_outward(self, tri_pendant):
         # from (0 -> 2) the only non-neighbor of 0 among 2's neighbors is 3
         corpus = node2vec_walks(
-            tri_pendant, uniform_transitions(tri_pendant),
+            uniform_transitions(tri_pendant),
             walk_config(walks_per_node=100, walk_length=20, p=1.0, q=1e-12, seed=4),
         )
         t = corpus.tokens
@@ -153,8 +149,8 @@ class TestSecondOrder:
     def test_neutral_parameters_reduce_to_first_order(self):
         g = er_graph(20, 0.3, seed=3)
         cfg = walk_config(walks_per_node=4, walk_length=15, p=1.0, q=1.0, seed=11)
-        first = generate_walks(g, uniform_transitions(g), cfg)
-        second = node2vec_walks(g, uniform_transitions(g), cfg)
+        first = generate_walks(uniform_transitions(g), cfg)
+        second = node2vec_walks(uniform_transitions(g), cfg)
         assert len(first) == len(second)
         assert np.array_equal(first.tokens, second.tokens)
 
@@ -162,8 +158,8 @@ class TestSecondOrder:
         g = two_triangles_bridged
         tm = build_transition_model(g, count_triangles(g), "smoothed")
         cfg = walk_config(walks_per_node=4, walk_length=15, p=1.0, q=1.0, seed=11)
-        first = generate_walks(g, tm, cfg)
-        second = node2vec_walks(g, tm, cfg)
+        first = generate_walks(tm, cfg)
+        second = node2vec_walks(tm, cfg)
         assert np.array_equal(first.tokens, second.tokens)
 
     def test_second_order_composes_with_strict_rows(self, tri_pendant):
@@ -173,8 +169,7 @@ class TestSecondOrder:
             tri_pendant, count_triangles(tri_pendant), "strict"
         )
         corpus = node2vec_walks(
-            tri_pendant, tm, walk_config(walks_per_node=100, walk_length=30, p=2.0, q=0.5, seed=5),
-        )
+            tm, walk_config(walks_per_node=100, walk_length=30, p=2.0, q=0.5, seed=5))
         counts = transition_counts(corpus, 2, 4)
         assert counts[3] == 0
 
@@ -202,7 +197,7 @@ class TestReference:
                           window=window, p=pq[0], q=pq[1], seed=seed)
         for walker, reference in ((generate_walks, ref.generate_walks),
                                   (node2vec_walks, ref.node2vec_walks)):
-            corpus, walks = walker(g, tm, cfg), reference(g, tm, cfg)
+            corpus, walks = walker(tm, cfg), reference(g, tm, cfg)
             assert corpus.tokens.dtype == np.int64
             assert np.array_equal(corpus.tokens, ref.padded(walks, walk_length))
             assert corpus.token_count() == sum(w.size for w in walks)
@@ -248,4 +243,4 @@ class TestHubReference:
             for block in (1, 7, _BLOCK):
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr("motifemb.walks._BLOCK", block)
-                    assert np.array_equal(node2vec_walks(g, tm, cfg).tokens, want), block
+                    assert np.array_equal(node2vec_walks(tm, cfg).tokens, want), block
