@@ -25,6 +25,14 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class EmbeddingMatrix:
+    """A read-only float64 (node_count, dim) matrix and its provenance.
+
+    A writeable input is copied before it is write-protected, so the
+    caller's array stays writeable and cannot change the embedding. A
+    read-only float64 array is taken as it is: the trainers and loaders
+    write-protect the arrays they build, which no one else holds, so
+    nothing is copied."""
+
     vectors: np.ndarray
     provenance: dict = field(default_factory=dict)
 
@@ -34,7 +42,9 @@ class EmbeddingMatrix:
             raise ValueError(f"expected a 2-d matrix, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("embedding contains non-finite values")
-        v.flags.writeable = False
+        if v.flags.writeable:
+            v = v.copy()
+            v.flags.writeable = False
         object.__setattr__(self, "vectors", v)
 
     @property
@@ -109,6 +119,7 @@ def load_embedding_text(path) -> tuple[EmbeddingMatrix, list[str]]:
     if len(rows) != header[0]:
         raise ValueError(f"header declares {header[0]} rows, found {len(rows)}")
     vectors = np.vstack(rows) if rows else np.zeros((0, header[1]))
+    vectors.setflags(write=False)
     return EmbeddingMatrix(vectors, provenance), labels
 
 
@@ -127,4 +138,5 @@ def load_embedding_binary(path) -> EmbeddingMatrix:
     if len(data) != expected:
         raise ValueError(f"expected {expected} bytes for {n}x{d}, got {len(data)}")
     vectors = np.frombuffer(data[8:], dtype="<f4").reshape(n, d).astype(np.float64)
+    vectors.setflags(write=False)
     return EmbeddingMatrix(vectors)

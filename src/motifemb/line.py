@@ -8,7 +8,7 @@ import numpy as np
 from .config import TrainConfig
 from .embedding import EmbeddingMatrix
 from .graph import Graph
-from .motifs import WeightedAdjacency
+from .motifs import WEIGHTS_MISMATCH, WeightedAdjacency, check_same_graph
 from .sgns import NOISE_POWER, CumulativeSampler, train_pairs
 
 __all__ = ["edge_sampling_tables", "train_line"]
@@ -17,12 +17,9 @@ __all__ = ["edge_sampling_tables", "train_line"]
 def edge_sampling_tables(g: Graph, weights: WeightedAdjacency):
     """(edge cumulative probabilities, negative-sampling distribution).
 
-    ValueError unless ``weights`` has ``g``'s node count and one weight per
-    edge of ``g``. Weights of another graph with the same counts pass: LINE
-    reads only ``edge_weights``, and hand-built weights may leave
-    ``matrix`` empty, so there is no CSR pattern to compare."""
-    if weights.node_count != g.node_count or weights.edge_weights.size != g.edge_count:
-        raise ValueError("weights were built on a different graph")
+    ValueError unless ``weights`` were built on ``g``: the same graph, or
+    one with its node count and edges (``motifs.check_same_graph``)."""
+    check_same_graph(g, weights.graph, WEIGHTS_MISMATCH)
     w = weights.edge_weights.astype(np.float64)
     if w.sum() <= 0:
         raise ValueError("all edge weights are zero; nothing to sample")
@@ -76,4 +73,6 @@ def train_line(
         w_center, _ = train_pairs(g.node_count, dim, batches(rng), total, negatives, config,
                                   rng, shared=order == "first")
         halves.append(w_center)
-    return EmbeddingMatrix(np.hstack(halves), {"trainer": "line", **asdict(config)})
+    vectors = np.hstack(halves)
+    vectors.setflags(write=False)
+    return EmbeddingMatrix(vectors, {"trainer": "line", **asdict(config)})

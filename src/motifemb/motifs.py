@@ -3,6 +3,7 @@ structures: a motif-weighted adjacency matrix and motif-biased walk transitions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Literal
 
 import numpy as np
@@ -25,21 +26,22 @@ __all__ = [
 # how motif degrees bias walk transitions (see build_transition_model)
 MotifMode = Literal["strict", "smoothed"]
 MOTIF_SIZE = 3  # nodes in a triangle, the one motif counted
+STATS_MISMATCH = "motif stats were counted on a different graph"
+WEIGHTS_MISMATCH = "weights were built on a different graph"
 
 
 @dataclass(frozen=True, eq=False)
 class MotifStats:
-    """Exact triangle participation counts for one graph.
+    """Exact triangle participation counts for ``graph``, the graph counted.
 
     ``node_degree[i]`` is the number of triangles containing node i and
-    ``edge_values[r]`` the number containing edge ``edges[r]``, where
-    ``edges`` is the (read-only) edge array of the graph that was counted.
+    ``edge_values[r]`` the number containing edge ``graph.edges[r]``.
     """
 
     node_degree: np.ndarray
     edge_values: np.ndarray = field(repr=False)
     total_motifs: int
-    edges: np.ndarray = field(repr=False)
+    graph: Graph = field(repr=False)
 
 
 def count_triangles(g: Graph) -> MotifStats:
@@ -63,7 +65,7 @@ def count_triangles(g: Graph) -> MotifStats:
     total = int(ed.sum()) // 3
     nd.setflags(write=False)
     ed.setflags(write=False)
-    return MotifStats(nd, ed, total, g.edges)
+    return MotifStats(nd, ed, total, g)
 
 
 def null_model_totals(g: Graph, samples: int, swaps_per_edge: int, seed: int) -> np.ndarray:
@@ -78,36 +80,40 @@ def null_model_totals(g: Graph, samples: int, swaps_per_edge: int, seed: int) ->
     return np.asarray(totals, dtype=np.float64)
 
 
-def _check_stats_match(g: Graph, stats: MotifStats) -> None:
-    if stats.node_degree.shape[0] != g.node_count or not (
-        stats.edges is g.edges or np.array_equal(stats.edges, g.edges)
-    ):
-        raise ValueError("motif stats were counted on a different graph")
+def check_same_graph(g: Graph, built_on: Graph, message: str) -> None:
+    """The one agreement rule between a graph and what was derived from one:
+    ``built_on`` is ``g`` itself, or has its node count and ``edges`` (and so
+    its CSR), else ValueError(message)."""
+    if built_on is not g and (built_on.node_count != g.node_count
+                              or not np.array_equal(built_on.edges, g.edges)):
+        raise ValueError(message)
 
 
 @dataclass(frozen=True, eq=False)
 class WeightedAdjacency:
-    """Sparse symmetric edge-weight matrix over node pairs.
+    """Sparse symmetric edge-weight matrix over the node pairs of ``graph``.
 
-    ``edge_weights`` is aligned with the source graph's ``edges`` rows;
-    ``matrix`` is the full symmetric CSR form.
+    ``edge_weights[r]`` weighs edge ``graph.edges[r]``; ``matrix``, the full
+    symmetric CSR form on ``graph``'s pattern, is built on first read.
     """
 
-    node_count: int
+    graph: Graph = field(repr=False)
     edge_weights: np.ndarray
-    matrix: sp.csr_matrix
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        g, n = self.graph, self.graph.node_count
+        return sp.csr_matrix((self.edge_weights[g.edge_ids], g.indices, g.indptr), shape=(n, n))
 
     def weight(self, u: int, v: int) -> float:
         return float(self.matrix[u, v])
 
 
 def _adjacency(g: Graph, w: np.ndarray) -> WeightedAdjacency:
-    """The one builder of a WeightedAdjacency: ``w`` (one weight per row of
-    ``g.edges``, made read-only) spread over both CSR positions of each edge."""
+    """The one builder of a WeightedAdjacency: ``w``, one weight per row of
+    ``g.edges``, made read-only."""
     w.setflags(write=False)
-    n = g.node_count
-    matrix = sp.csr_matrix((w[g.edge_ids], g.indices, g.indptr), shape=(n, n))
-    return WeightedAdjacency(n, w, matrix)
+    return WeightedAdjacency(g, w)
 
 
 def unit_adjacency(g: Graph) -> WeightedAdjacency:
@@ -126,29 +132,28 @@ def build_motif_adjacency(g: Graph, stats: MotifStats) -> WeightedAdjacency:
     Entries: 0 off the edge set, 1 on motif-free edges (connectivity is kept),
     1 + ED/|V_M| on edges inside at least one motif instance.
     """
-    _check_stats_match(g, stats)
+    check_same_graph(g, stats.graph, STATS_MISMATCH)
     return _adjacency(g, _motif_weights(stats))
 
 
 @dataclass(frozen=True, eq=False)
 class TransitionModel:
-    """Per-node outgoing probability rows over that node's neighbor list.
+    """Per-node outgoing probability rows over ``graph``'s neighbor lists.
 
-    Arrays are CSR-aligned with the source graph: row i occupies
-    ``indptr[i]:indptr[i+1]`` of ``probs`` (normalized, sums to 1) and
-    ``masses`` (the unnormalized weights the row was built from, which
-    second-order walk biasing composes with). Isolated nodes have empty rows.
+    Arrays are CSR-aligned with ``graph``: row i occupies
+    ``graph.indptr[i]:graph.indptr[i+1]`` of ``probs`` (normalized, sums to
+    1) and ``masses`` (the unnormalized weights the row was built from,
+    which second-order walk biasing composes with). Isolated nodes have
+    empty rows.
     """
 
-    node_count: int
-    indptr: np.ndarray
-    indices: np.ndarray
+    graph: Graph = field(repr=False)
     probs: np.ndarray
     masses: np.ndarray
 
     def row(self, node: int) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = self.indptr[node], self.indptr[node + 1]
-        return self.indices[lo:hi], self.probs[lo:hi]
+        lo, hi = self.graph.indptr[node], self.graph.indptr[node + 1]
+        return self.graph.indices[lo:hi], self.probs[lo:hi]
 
 
 def _transitions(g: Graph, masses: np.ndarray) -> TransitionModel:
@@ -160,7 +165,7 @@ def _transitions(g: Graph, masses: np.ndarray) -> TransitionModel:
     probs = masses / np.bincount(row_of, weights=masses, minlength=g.node_count)[row_of]
     for a in (masses, probs):
         a.setflags(write=False)
-    return TransitionModel(g.node_count, g.indptr, g.indices, probs, masses)
+    return TransitionModel(g, probs, masses)
 
 
 def build_transition_model(
@@ -177,7 +182,7 @@ def build_transition_model(
     proportional to the motif-weighted adjacency entries, which are >= 1 on
     every edge, so all neighbors stay reachable.
     """
-    _check_stats_match(g, stats)
+    check_same_graph(g, stats.graph, STATS_MISMATCH)
     if mode == "strict":
         masses = stats.edge_values[g.edge_ids].astype(np.float64)
         # a node's incident edge motif degrees sum to twice its node degree

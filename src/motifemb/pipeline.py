@@ -112,7 +112,7 @@ def embed_graph(
             corpus = generate_walks(transitions, config)
         else:
             corpus = node2vec_walks(transitions, config)
-        emb = train_sgns(corpus, config, g.node_count)
+        emb = train_sgns(corpus, config)
     else:
         weights = build_motif_adjacency(g, stats) if enhanced else unit_adjacency(g)
         if algorithm == "line":

@@ -76,8 +76,10 @@ def extract_pairs(corpus: WalkCorpus, window: int) -> tuple[np.ndarray, np.ndarr
     return corpus.tokens[:, center_at][kept], corpus.tokens[:, context_at][kept]
 
 
-def noise_distribution(corpus: WalkCorpus, node_count: int) -> np.ndarray:
-    """Unigram^NOISE_POWER negative-sampling distribution over corpus tokens."""
+def noise_distribution(corpus: WalkCorpus) -> np.ndarray:
+    """Unigram^NOISE_POWER negative-sampling distribution over corpus tokens,
+    one entry per node of the walked graph (``corpus.node_count``)."""
+    node_count = corpus.node_count
     counts = np.bincount(corpus.tokens[corpus.tokens >= 0], minlength=node_count)
     if counts.size > node_count:
         raise IndexError(f"corpus holds node {counts.size - 1} but node_count is {node_count}")
@@ -227,14 +229,14 @@ def train_pairs(
     return w_center, w_ctx
 
 
-def train_sgns(corpus: WalkCorpus, config: TrainConfig, node_count: int) -> EmbeddingMatrix:
-    """Trains and returns the center-vector matrix (node_count x dim):
-    ``train_pairs`` on one fresh permutation of the window pairs per epoch,
-    against unigram^NOISE_POWER negatives."""
+def train_sgns(corpus: WalkCorpus, config: TrainConfig) -> EmbeddingMatrix:
+    """Trains and returns the center-vector matrix (``corpus.node_count`` x
+    dim): ``train_pairs`` on one fresh permutation of the window pairs per
+    epoch, against unigram^NOISE_POWER negatives."""
     centers, contexts = extract_pairs(corpus, config.window)
     if centers.size == 0:
         raise ValueError("corpus yields no training pairs; walks too short?")
-    negatives = CumulativeSampler.from_probabilities(noise_distribution(corpus, node_count))
+    negatives = CumulativeSampler.from_probabilities(noise_distribution(corpus))
     rng = np.random.default_rng(config.seed)
 
     def batches():
@@ -244,6 +246,7 @@ def train_sgns(corpus: WalkCorpus, config: TrainConfig, node_count: int) -> Embe
                 batch = perm[lo : lo + config.batch_size]
                 yield np.take(centers, batch), np.take(contexts, batch)
 
-    w_center, _ = train_pairs(node_count, config.dim, batches(), centers.size * config.epochs,
-                              negatives, config, rng)
+    w_center, _ = train_pairs(corpus.node_count, config.dim, batches(),
+                              centers.size * config.epochs, negatives, config, rng)
+    w_center.setflags(write=False)
     return EmbeddingMatrix(w_center, {"trainer": "sgns", **asdict(config)})

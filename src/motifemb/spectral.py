@@ -8,7 +8,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .embedding import EmbeddingMatrix
 from .graph import Graph
-from .motifs import WeightedAdjacency
+from .motifs import WEIGHTS_MISMATCH, WeightedAdjacency, check_same_graph
 
 __all__ = ["normalized_laplacian", "smallest_eigenpairs", "train_spectral"]
 
@@ -27,7 +27,7 @@ def normalized_laplacian(weights: WeightedAdjacency) -> sp.csr_matrix:
     nz = deg > 0
     inv_sqrt[nz] = 1.0 / np.sqrt(deg[nz])
     d_half = sp.diags(inv_sqrt)
-    lap = sp.eye(weights.node_count, format="csr") - d_half @ w @ d_half
+    lap = sp.eye(weights.graph.node_count, format="csr") - d_half @ w @ d_half
     return lap.tocsr()
 
 
@@ -89,13 +89,9 @@ def train_spectral(
     the Laplacian is permuted once, so each component is a diagonal block
     and the time grows with |E| plus the number of components. Reads no
     seed: the result depends on ``weights`` and ``dim`` alone. ``g`` must be
-    the graph ``weights`` was built on (same node count and CSR pattern),
-    else ValueError."""
-    if weights.node_count != g.node_count or not (
-        np.array_equal(weights.matrix.indptr, g.indptr)
-        and np.array_equal(weights.matrix.indices, g.indices)
-    ):
-        raise ValueError("weights were built on a different graph")
+    the graph ``weights`` was built on, or one with its node count and edges
+    (``motifs.check_same_graph``), else ValueError."""
+    check_same_graph(g, weights.graph, WEIGHTS_MISMATCH)
     if dim >= g.node_count:
         raise ValueError(f"dim {dim} must be < node count {g.node_count}")
     n_comp, comp_labels = connected_components(weights.matrix, directed=False)
@@ -118,4 +114,5 @@ def train_spectral(
         _check_residuals(lap, vals, vecs)
         kept = _fix_signs(vecs[:, 1:])
         out[nodes, : kept.shape[1]] = kept
+    out.setflags(write=False)
     return EmbeddingMatrix(out, {"trainer": "spectral", "dim": dim})

@@ -17,7 +17,8 @@ _BLOCK = 1 << 16
 @dataclass(frozen=True, eq=False)
 class WalkCorpus:
     """Node-id walks as the rows of one (walks_per_node * |V|, walk_length)
-    int64 ``tokens`` array; every consecutive pair in a row is a graph edge.
+    int64 ``tokens`` array on a graph of ``node_count`` nodes; every
+    consecutive pair in a row is a graph edge.
 
     Rows run pass by pass, each pass in its shuffled start order. A walk
     stops early only at an empty transition row, which only isolated nodes
@@ -25,8 +26,11 @@ class WalkCorpus:
     """
 
     tokens: np.ndarray
-    walks_per_node: int
-    walk_length: int
+    node_count: int
+
+    @property
+    def walk_length(self) -> int:
+        return self.tokens.shape[1]
 
     def __len__(self) -> int:
         return self.tokens.shape[0]
@@ -47,24 +51,24 @@ def _degree_blocks(deg: np.ndarray):
 
 
 def _walks(model: TransitionModel, config: TrainConfig, second_order: bool) -> WalkCorpus:
-    """Advances every walker of a pass in lockstep over ``model``'s CSR, the
-    only graph it reads. Only isolated starts stop early, so one
-    ``rng.random((live, walk_length - 1))`` per pass, read column by column,
-    is the stream of drawing one step at a time."""
+    """Advances every walker of a pass in lockstep over the CSR of
+    ``model.graph``, the only graph it reads. Only isolated starts stop
+    early, so one ``rng.random((live, walk_length - 1))`` per pass, read
+    column by column, is the stream of drawing one step at a time."""
     rng = np.random.default_rng(config.seed)
-    n, length = model.node_count, config.walk_length
-    deg = np.diff(model.indptr)
+    g, length = model.graph, config.walk_length
+    n, deg = g.node_count, g.degrees
     # np.cumsum of every row's probs, summing the rows of one degree as one
     # 2-D block: that adds in 1-D order, so each value is bit-exact (a
     # global cumsum minus row offsets is not)
     cum = np.empty_like(model.probs)
     for d, nodes in _degree_blocks(deg):
-        pos = model.indptr[nodes, None] + np.arange(d)
+        pos = g.indptr[nodes, None] + np.arange(d)
         cum[pos] = np.cumsum(model.probs[pos], axis=1)
     strides = [1 << s for s in reversed(range(int(deg.max(initial=0)).bit_length()))]
     inv_p, inv_q = 1.0 / config.p, 1.0 / config.q
-    # the model's sorted CSR keys: t is adjacent to x iff t * n + x is one of them
-    keys = np.repeat(np.arange(n), deg) * n + model.indices if second_order else None
+    # the graph's sorted CSR keys: t is adjacent to x iff t * n + x is one of them
+    keys = np.repeat(np.arange(n), deg) * n + g.indices if second_order else None
     tokens = np.full((config.walks_per_node, n, length), -1, dtype=np.int64)
     for rows in tokens:
         rows[:, 0] = rng.permutation(n)
@@ -77,8 +81,8 @@ def _walks(model: TransitionModel, config: TrainConfig, second_order: bool) -> W
                 # (walkers x d) blocks; 2-D row sums and cumsums add in the
                 # order of the 1-D calls, so each row is the one-walker step's
                 for d, at in _degree_blocks(deg[here]):
-                    pos = model.indptr[here[at], None] + np.arange(d)
-                    cand, t = model.indices[pos], rows[live[at], step - 2, None]
+                    pos = g.indptr[here[at], None] + np.arange(d)
+                    cand, t = g.indices[pos], rows[live[at], step - 2, None]
                     key = t * n + cand
                     adjacent = keys[np.minimum(np.searchsorted(keys, key), keys.size - 1)] == key
                     alpha = np.where(cand == t, inv_p, np.where(adjacent, 1.0, inv_q))
@@ -88,14 +92,14 @@ def _walks(model: TransitionModel, config: TrainConfig, second_order: bool) -> W
                     j = np.minimum(np.count_nonzero(cdf <= u[at, None], axis=1), d - 1)
                     rows[live[at], step] = cand[np.arange(at.size), j]
                 continue
-            lo, d = model.indptr[here], deg[here]
+            lo, d = g.indptr[here], deg[here]
             # branchless min(searchsorted(row's cum, u, "right"), d - 1)
             j = np.zeros(live.size, dtype=np.int64)
             for stride in strides:
                 probe = j + (stride - 1)
                 j += stride * ((probe < d) & (cum.take(lo + probe, mode="clip") <= u))
-            rows[live, step] = model.indices[lo + np.minimum(j, d - 1)]
-    return WalkCorpus(tokens.reshape(-1, length), config.walks_per_node, length)
+            rows[live, step] = g.indices[lo + np.minimum(j, d - 1)]
+    return WalkCorpus(tokens.reshape(-1, length), n)
 
 
 def generate_walks(transitions: TransitionModel, config: TrainConfig) -> WalkCorpus:

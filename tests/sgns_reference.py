@@ -51,16 +51,15 @@ def sgns_step(
     )
 
 
-def train_sgns(
-    corpus: WalkCorpus, config: TrainConfig, node_count: int
-) -> tuple[np.ndarray, np.ndarray]:
+def train_sgns(corpus: WalkCorpus, config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
     """(center, context) matrices of one SGNS run."""
+    node_count = corpus.node_count
     rng = np.random.default_rng(config.seed)
     d = config.dim
     w_center = (rng.random((node_count, d)) - 0.5) / d
     w_ctx = np.zeros((node_count, d))
     centers, contexts = extract_pairs(corpus, config.window)
-    negatives = CumulativeSampler.from_probabilities(noise_distribution(corpus, node_count))
+    negatives = CumulativeSampler.from_probabilities(noise_distribution(corpus))
     k = config.negatives
     lr0 = config.learning_rate
     total_budget = centers.size * config.epochs

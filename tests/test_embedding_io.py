@@ -28,6 +28,17 @@ class TestMatrixInvariants:
         with pytest.raises(ValueError):
             emb.vectors[0, 0] = 1.0
 
+    def test_caller_array_stays_writeable(self):
+        m = np.zeros((3, 2))
+        emb = EmbeddingMatrix(m)
+        m[0, 0] = 1.0
+        assert emb.vectors[0, 0] == 0.0
+
+    def test_read_only_float64_input_is_not_copied(self):
+        m = np.zeros((3, 2))
+        m.setflags(write=False)
+        assert EmbeddingMatrix(m).vectors is m
+
     def test_rejects_nonfinite(self):
         bad = np.zeros((2, 2))
         bad[0, 0] = np.nan

@@ -85,7 +85,7 @@ def stage_peaks(nodes_per_block: int, tmp_path) -> tuple[int, dict[str, int]]:
     # second-order steps weigh blocks of candidates, capped in size
     run("node2vec_walks", lambda: node2vec_walks(model, replace(CONFIG, q=0.5)))
     run("extract_pairs", lambda: extract_pairs(corpus, CONFIG.window))
-    emb = run("train_sgns", lambda: train_sgns(corpus, CONFIG, g.node_count))
+    emb = run("train_sgns", lambda: train_sgns(corpus, CONFIG))
     run("train_line", lambda: train_line(g, unit_adjacency(g), CONFIG))
     spectral = run("train_spectral", lambda: train_spectral(g, unit_adjacency(g), CONFIG.dim))
     run("make_split", lambda: make_split(g, 0.1, 0))

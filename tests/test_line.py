@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from scipy import stats as sps
 
 from motifemb import (
@@ -14,6 +13,7 @@ from motifemb import (
     build_motif_adjacency,
     count_triangles,
     make_split,
+    null_model_rewire,
     train_line,
     unit_adjacency,
 )
@@ -64,7 +64,7 @@ class TestSamplingTables:
         g = er_graph(20, 0.3, seed=seed)
         w = rng.random(g.edge_count) * (rng.random(g.edge_count) < 0.8)
         w[0] = 1.0
-        weights = WeightedAdjacency(node_count=20, edge_weights=w, matrix=sp.csr_matrix((20, 20)))
+        weights = WeightedAdjacency(g, w)
         wdeg = np.zeros(20)
         np.add.at(wdeg, g.edges[:, 0], w)
         np.add.at(wdeg, g.edges[:, 1], w)
@@ -74,22 +74,25 @@ class TestSamplingTables:
         assert noise.tobytes() == want.tobytes()
 
     def test_all_zero_weights_rejected(self, tri_pendant):
-        dead = WeightedAdjacency(
-            node_count=4,
-            edge_weights=np.zeros(4),
-            matrix=sp.csr_matrix((4, 4)),
-        )
+        dead = WeightedAdjacency(tri_pendant, np.zeros(4))
         with pytest.raises(ValueError):
             edge_sampling_tables(tri_pendant, dead)
 
     def test_weights_of_another_graph_rejected(self):
-        # fewer edges (a train graph), then one node more (an isolated one);
-        # weights of a graph with the same counts are not told apart
+        # fewer edges (a train graph), then one node more (an isolated one)
         g = er_graph(30, 0.3, seed=0)
         for other in (make_split(g, 0.1, 0).train_graph,
                       Graph.from_edges(g.node_count + 1, g.edges)):
             with pytest.raises(ValueError, match="different graph"):
                 train_line(other, unit_adjacency(g), line_config())
+
+    def test_weights_of_a_rewired_graph_rejected(self):
+        # a degree-preserving rewiring has the same node and edge counts
+        g = er_graph(30, 0.3, seed=0)
+        r = null_model_rewire(g, 1, 0)
+        assert r.edge_count == g.edge_count and not np.array_equal(r.edges, g.edges)
+        with pytest.raises(ValueError, match="different graph"):
+            train_line(g, build_motif_adjacency(r, count_triangles(r)), line_config())
 
 
 class TestTrainLine:
@@ -109,7 +112,7 @@ class TestTrainLine:
         # gets noise probability zero
         g = tri_pendant
         w = np.array([0.0, 1.5, 1.0, 0.0])
-        weights = WeightedAdjacency(node_count=4, edge_weights=w, matrix=sp.csr_matrix((4, 4)))
+        weights = WeightedAdjacency(g, w)
         cfg = line_config(line_order=order, epochs=2, line_samples_factor=30, batch_size=40,
                           seed=5)
         train_line(g, weights, cfg)

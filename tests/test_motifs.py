@@ -53,12 +53,13 @@ def direct_adjacency_weight(ed_value: int, motif_size: int = 3) -> float:
 
 def assert_rows_exact(tm) -> None:
     """Each row's probs are its masses over their left-to-right sum."""
-    for v in range(tm.node_count):
-        masses = tm.masses[tm.indptr[v]:tm.indptr[v + 1]]
+    indptr = tm.graph.indptr
+    for v in range(tm.graph.node_count):
+        masses = tm.masses[indptr[v]:indptr[v + 1]]
         total = 0.0
         for m in masses.tolist():
             total += m
-        assert np.array_equal(tm.probs[tm.indptr[v]:tm.indptr[v + 1]], masses / total)
+        assert np.array_equal(tm.probs[indptr[v]:indptr[v + 1]], masses / total)
 
 
 def direct_strict_row(g: Graph, ed: dict, node: int) -> np.ndarray:

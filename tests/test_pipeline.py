@@ -190,7 +190,7 @@ class TestEmbedGraph:
         assert len(models) == 1 and isinstance(models[0], type(unit(g)))
         if variant == "base":
             if algorithm in ("deepwalk", "node2vec"):
-                want = train_sgns(train(unit(g), cfg), cfg, g.node_count)
+                want = train_sgns(train(unit(g), cfg), cfg)
             else:
                 want = train(g, unit(g), cfg.dim if algorithm == "spectral" else cfg)
             assert emb.vectors.tobytes() == want.vectors.tobytes()

@@ -62,10 +62,10 @@ def fd_gradient(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     return g
 
 
-def toy_corpus(walks: list[list[int]]) -> WalkCorpus:
+def toy_corpus(walks: list[list[int]], node_count: int) -> WalkCorpus:
     arrs = [np.asarray(w, dtype=np.int64) for w in walks]
     length = max(len(w) for w in walks)
-    return WalkCorpus(padded(arrs, length), walks_per_node=1, walk_length=length)
+    return WalkCorpus(padded(arrs, length), node_count)
 
 
 class TestSigmoids:
@@ -141,7 +141,7 @@ class TestGradientOracle:
 
 class TestPairExtraction:
     def test_window_exhausts_offsets(self):
-        corpus = toy_corpus([[0, 1, 2, 3]])
+        corpus = toy_corpus([[0, 1, 2, 3]], node_count=4)
         centers, contexts = extract_pairs(corpus, window=2)
         got = sorted(zip(centers.tolist(), contexts.tolist()))
         want = sorted(
@@ -151,12 +151,12 @@ class TestPairExtraction:
         assert got == want
 
     def test_window_larger_than_walk(self):
-        corpus = toy_corpus([[4, 5]])
+        corpus = toy_corpus([[4, 5]], node_count=6)
         centers, contexts = extract_pairs(corpus, window=10)
         assert sorted(zip(centers.tolist(), contexts.tolist())) == [(4, 5), (5, 4)]
 
     def test_singleton_walks_yield_nothing(self):
-        corpus = toy_corpus([[3], [7]])
+        corpus = toy_corpus([[3], [7]], node_count=8)
         centers, contexts = extract_pairs(corpus, window=5)
         assert centers.size == 0 and contexts.size == 0
 
@@ -166,7 +166,7 @@ class TestPairExtraction:
     )
     @settings(max_examples=50, deadline=None)
     def test_pair_count_formula(self, window, walk):
-        corpus = toy_corpus([walk])
+        corpus = toy_corpus([walk], node_count=10)
         centers, _ = extract_pairs(corpus, window)
         L = len(walk)
         expected = 2 * sum(max(L - off, 0) for off in range(1, window + 1))
@@ -175,19 +175,19 @@ class TestPairExtraction:
 
 class TestNoiseDistribution:
     def test_unigram_power(self):
-        corpus = toy_corpus([[0, 0, 0, 1]])
-        dist = noise_distribution(corpus, node_count=3)
+        corpus = toy_corpus([[0, 0, 0, 1]], node_count=3)
+        dist = noise_distribution(corpus)
         raw = np.array([3.0, 1.0, 0.0]) ** 0.75
         assert np.allclose(dist, raw / raw.sum(), atol=1e-15)
         assert dist[2] == 0.0
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
-            noise_distribution(WalkCorpus(np.empty((0, 5), np.int64), 1, 5), node_count=4)
+            noise_distribution(WalkCorpus(np.empty((0, 5), np.int64), node_count=4))
 
     def test_token_beyond_node_count_rejected(self):
         with pytest.raises(IndexError):
-            noise_distribution(toy_corpus([[0, 1, 4]]), node_count=4)
+            noise_distribution(toy_corpus([[0, 1, 4]], node_count=4))
 
     @given(
         walks=st.lists(
@@ -202,8 +202,8 @@ class TestNoiseDistribution:
         for w in walks:
             np.add.at(counts, np.asarray(w, dtype=np.int64), 1.0)
         want = counts**0.75 / (counts**0.75).sum()
-        corpus = WalkCorpus(padded([np.asarray(w, dtype=np.int64) for w in walks], 10), 1, 10)
-        assert noise_distribution(corpus, node_count=9).tobytes() == want.tobytes()
+        corpus = WalkCorpus(padded([np.asarray(w, dtype=np.int64) for w in walks], 10), 9)
+        assert noise_distribution(corpus).tobytes() == want.tobytes()
 
     @given(
         walks=st.lists(
@@ -214,8 +214,8 @@ class TestNoiseDistribution:
     )
     @settings(max_examples=30, deadline=None)
     def test_normalized_and_supported_on_tokens(self, walks):
-        corpus = toy_corpus(walks)
-        dist = noise_distribution(corpus, node_count=8)
+        corpus = toy_corpus(walks, node_count=8)
+        dist = noise_distribution(corpus)
         assert abs(dist.sum() - 1.0) <= 1e-12
         seen = set(x for w in walks for x in w)
         for v in range(8):
@@ -414,7 +414,7 @@ class TestReferenceStep:
         def train() -> bytes:
             if trainer == "sgns":
                 corpus = generate_walks(uniform_transitions(g), cfg)
-                return train_sgns(corpus, cfg, n).vectors.tobytes()
+                return train_sgns(corpus, cfg).vectors.tobytes()
             return train_line(g, unit_adjacency(g), cfg).vectors.tobytes()
 
         calls = []
@@ -462,9 +462,9 @@ class TestReferenceTrainers:
         )
         if trainer == "sgns":
             corpus = generate_walks(uniform_transitions(g), cfg)
-            emb = train_sgns(corpus, cfg, n)
+            emb = train_sgns(corpus, cfg)
             _, ctx = trained_pairs[-1]
-            want_center, want_ctx = sgns_reference.train_sgns(corpus, cfg, n)
+            want_center, want_ctx = sgns_reference.train_sgns(corpus, cfg)
             assert ctx.tobytes() == want_ctx.tobytes()
             assert emb.vectors.tobytes() == want_center.tobytes()
         else:
@@ -486,16 +486,16 @@ class TestTraining:
     def test_shapes_and_provenance(self):
         g = er_graph(12, 0.3, seed=0)
         corpus = generate_walks(uniform_transitions(g), self.cfg())
-        emb = train_sgns(corpus, self.cfg(), node_count=g.node_count)
+        emb = train_sgns(corpus, self.cfg())
         assert emb.vectors.shape == (12, 8)
         assert np.all(np.isfinite(emb.vectors))
 
     def test_bitwise_determinism(self):
         g = er_graph(12, 0.3, seed=1)
         corpus = generate_walks(uniform_transitions(g), self.cfg(seed=1))
-        a = train_sgns(corpus, self.cfg(seed=5), node_count=12)
-        b = train_sgns(corpus, self.cfg(seed=5), node_count=12)
-        c = train_sgns(corpus, self.cfg(seed=6), node_count=12)
+        a = train_sgns(corpus, self.cfg(seed=5))
+        b = train_sgns(corpus, self.cfg(seed=5))
+        c = train_sgns(corpus, self.cfg(seed=6))
         assert np.array_equal(a.vectors, b.vectors)
         assert not np.array_equal(a.vectors, c.vectors)
 
@@ -505,11 +505,12 @@ class TestTraining:
         # never occurs in the corpus, so it has noise probability zero
         g = er_graph(15, 0.3, seed=7)
         cfg = self.cfg(epochs=2, batch_size=50)
-        corpus = generate_walks(uniform_transitions(g), cfg.with_seed(7))
-        train_sgns(corpus, cfg.with_seed(11), node_count=16)
+        walked = generate_walks(uniform_transitions(g), cfg.with_seed(7))
+        corpus = WalkCorpus(walked.tokens, node_count=16)
+        train_sgns(corpus, cfg.with_seed(11))
 
         centers, contexts = extract_pairs(corpus, cfg.window)
-        noise = noise_distribution(corpus, 16)
+        noise = noise_distribution(corpus)
         rng = np.random.default_rng(11)
         rng.random((16, cfg.dim))
         want = []
@@ -529,8 +530,8 @@ class TestTraining:
         cfg = self.cfg()
         corpus = generate_walks(uniform_transitions(g), cfg.with_seed(2))
         centers, contexts = extract_pairs(corpus, cfg.window)
-        noise = noise_distribution(corpus, 14)
-        emb = train_sgns(corpus, cfg.with_seed(3), node_count=14)
+        noise = noise_distribution(corpus)
+        emb = train_sgns(corpus, cfg.with_seed(3))
         [(_, ctx)] = trained_pairs
 
         def mean_objective(center_m, ctx_m):
@@ -557,7 +558,7 @@ class TestTraining:
         g = Graph.from_edges(8, edges)
         cfg = self.cfg(dim=6, walks_per_node=20, walk_length=20, epochs=5, seed=4)
         corpus = generate_walks(uniform_transitions(g), cfg)
-        emb = train_sgns(corpus, cfg, node_count=8)
+        emb = train_sgns(corpus, cfg)
         v = emb.vectors / np.linalg.norm(emb.vectors, axis=1, keepdims=True)
         sims = v @ v.T
         intra = [sims[i, j] for i in range(4) for j in range(i + 1, 4)]
@@ -579,7 +580,7 @@ def test_default_config_stays_bounded_on_small_graph(trainer):
     g = er_graph(34, 0.15, seed=0)
     cfg = TrainConfig()
     if trainer == "deepwalk":
-        emb = train_sgns(generate_walks(uniform_transitions(g), cfg), cfg, node_count=34)
+        emb = train_sgns(generate_walks(uniform_transitions(g), cfg), cfg)
     else:
         emb = train_line(g, unit_adjacency(g), cfg)
     assert np.linalg.norm(emb.vectors, axis=1).max() < 100

@@ -1,18 +1,22 @@
 """The benchmark's tracer (benchmark/tracer.py) wraps the program's functions
 and binds its counting hooks to their arguments by name, so a renamed or
-dropped argument breaks ``benchmark/run.py --trace 1``. These tests run the
-report and CLI paths the benchmark workloads take under the tracer, and the
-reports under the row timer every benchmark run installs."""
+dropped argument breaks ``benchmark/run.py --trace 1``, and a call moved off a
+traced name drops its layer from the trace. These tests run the report and
+CLI paths the benchmark workloads take under the tracer, one rep of each
+workload at seed 0 under the tracer, and the reports under the row timer
+every benchmark run installs."""
 from __future__ import annotations
 
 import sys
 from pathlib import Path
 
+import pytest
+
 from motifemb import TrainConfig, cli, pipeline, planted_partition, write_edge_list
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "benchmark"))
 from tracer import Tracer  # noqa: E402
-from workloads import RowTimer  # noqa: E402
+from workloads import WORKLOADS, RowTimer  # noqa: E402
 
 FAST = TrainConfig(dim=4, walks_per_node=2, walk_length=8, window=2, negatives=2,
                    epochs=1, batch_size=64, line_samples_factor=5)
@@ -76,3 +80,25 @@ def test_reports_run_under_row_timer():
             assert set(timer.take()) == {"row_s.deepwalk", "row_s.spectral"}, task
     finally:
         timer.uninstall()
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_rep_reaches_its_layers(name, tmp_path):
+    # the benchmark reports a run incorrect when a traced rep has no span
+    # from one of the workload's layers, or when a rep's check fails
+    wl = WORKLOADS[name](0, tmp_path)
+    try:
+        wl.setup()
+        tracer = Tracer("test")
+        tracer.begin_rep(0)
+        tracer.install()
+        try:
+            out = wl.run()
+        finally:
+            tracer.uninstall()
+    finally:
+        # report workloads install a row timer when they are made
+        if hasattr(wl, "row_timer"):
+            wl.row_timer.uninstall()
+    assert set(wl.layers) <= tracer.modules_seen()
+    assert wl.check(out)["failed"] == 0

@@ -203,7 +203,7 @@ class TestReference:
             assert corpus.token_count() == sum(w.size for w in walks)
             for got, want in zip(extract_pairs(corpus, window), ref.extract_pairs(walks, window)):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-            assert (noise_distribution(corpus, g.node_count).tobytes()
+            assert (noise_distribution(corpus).tobytes()
                     == ref.noise_distribution(walks, g.node_count).tobytes())
 
 

@@ -12,7 +12,7 @@ from motifemb.motifs import TransitionModel, uniform_transitions
 def _row_tables(model: TransitionModel) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-node (neighbors, cumulative probability) sampling tables."""
     tables = []
-    for v in range(model.node_count):
+    for v in range(model.graph.node_count):
         nbrs, probs = model.row(v)
         tables.append((nbrs, np.cumsum(probs)))
     return tables
@@ -59,7 +59,7 @@ def node2vec_walks(g: Graph, transitions: TransitionModel | None,
                     cand = g.neighbors(v)
                     if cand.size == 0:
                         break
-                    base = model.masses[model.indptr[v]:model.indptr[v + 1]]
+                    base = model.masses[model.graph.indptr[v]:model.graph.indptr[v + 1]]
                     t_nbrs = g.neighbors(t)
                     pos = np.searchsorted(t_nbrs, cand)
                     pos[pos >= t_nbrs.size] = t_nbrs.size - 1
