@@ -8,12 +8,15 @@ entry point (a subcommand or a script) names the fields it reads: they are
 its --flags (--help shows their defaults), its config-file keys and the
 config block of its JSON report. A config file holds flat key=value lines;
 explicit flags override file values, which override defaults, and the merged
-values are validated once. Exit code 0 on success, 2 on bad input
-(unparseable graph, unknown names or choices, a config key that is not a
-flag or that repeats, a seed that is not a non-negative integer, an empty
-or repeating seed, algorithm or variant list, a threshold that is not
-"median" or a finite number, a --dim the graph rules out, conflicting
-flags, missing files).
+values are validated once. Exit code 0 on success, 2 on bad input: an
+unparseable graph, missing files, conflicting flags, a config key that is
+not a flag or that repeats, or a setting that its owner's check rejects.
+Before any input is read, RunConfig runs TrainConfig's field checks and
+``evaluation.check_fraction``, ``graph.check_swaps_per_edge``,
+``pipeline.check_clusters``, and, in its accessors, ``pipeline.check_list``
+and ``pipeline.check_threshold``. Once the graph is read,
+``pipeline._check_setting`` runs the per-algorithm checks before anything
+is split or trained.
 
 ``add_run_flags`` and ``run_command`` parse it, for ``main`` and for the
 experiment scripts in scripts/.
@@ -27,15 +30,16 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal, get_args, get_origin
 
-import numpy as np
-
 from .config import TrainConfig, field_types
-from .graph import ParseError, graph_stats, load_edge_list
+from .evaluation import check_fraction
+from .graph import ParseError, check_swaps_per_edge, graph_stats, load_edge_list
 from .motifs import MotifMode, count_triangles, null_model_totals
 from .pipeline import (
     ALGORITHMS,
     VARIANTS,
+    check_clusters,
     check_list,
+    check_threshold,
     csv_text,
     embed_graph,
     json_text,
@@ -78,12 +82,9 @@ class RunConfig(TrainConfig):
         super().__post_init__()
         if self.null_model < 0:
             raise ValueError("null_model must be >= 0")
-        if self.clusters < 2:
-            raise ValueError("clusters must be >= 2")
-        if not 0 < self.fraction < 1:
-            raise ValueError("fraction must be in (0, 1)")
-        if self.swaps_per_edge < 1:
-            raise ValueError("swaps_per_edge must be >= 1")
+        check_clusters(self.clusters)  # the node count is not known yet
+        check_fraction(self.fraction)
+        check_swaps_per_edge(self.swaps_per_edge)
 
     @classmethod
     def read_file(cls, path, names, entry: str) -> dict:
@@ -143,10 +144,8 @@ class RunConfig(TrainConfig):
         try:
             value = float(self.threshold)
         except ValueError:
-            value = np.nan
-        if not np.isfinite(value):
-            raise ValueError(f"threshold must be 'median' or a finite number, "
-                             f"got {self.threshold!r}")
+            value = self.threshold  # not a number, so check_threshold quotes it
+        check_threshold(value)
         return value
 
     def report_arguments(self) -> dict:

@@ -2,10 +2,11 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from typing import Literal, get_args, get_origin, get_type_hints
 
-__all__ = ["TrainConfig", "field_types"]
+__all__ = ["TrainConfig", "check_choice", "field_types"]
 
 LineOrder = Literal["first", "second", "concat"]
 
@@ -16,6 +17,14 @@ def field_types(cls) -> dict[str, object]:
     return {f.name: hints[f.name] for f in fields(cls)}
 
 
+def check_choice(name: str, value, allowed) -> None:
+    """Raise ValueError unless ``value`` is one of ``allowed``, the choices
+    of the setting ``name``."""
+    if value not in allowed:
+        raise ValueError(f"unknown {name}: {value!r} "
+                         f"(expected one of {', '.join(map(repr, allowed))})")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Embedding hyperparameters with conventional skip-gram defaults.
@@ -23,8 +32,9 @@ class TrainConfig:
     Every trainer is deterministic given (graph, config) and reads its seed
     from ``seed`` alone; spectral reads no seed. Defaults are recorded into
     each embedding's provenance so results stay reproducible.
-    A field annotated with a ``Literal`` only accepts the listed values, in
-    this class and in every subclass.
+    A field annotated with a ``Literal`` only accepts the listed values, and
+    one annotated ``int`` only integers (numpy's too), in this class and in
+    every subclass.
     """
 
     dim: int = 64
@@ -55,9 +65,10 @@ class TrainConfig:
             raise ValueError("p and q and their reciprocals must be finite and > 0")
         for name, typ in field_types(type(self)).items():
             value = getattr(self, name)
-            if get_origin(typ) is Literal and value not in get_args(typ):
-                allowed = ", ".join(map(repr, get_args(typ)))
-                raise ValueError(f"unknown {name}: {value!r} (expected one of {allowed})")
+            if typ is int and not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if get_origin(typ) is Literal:
+                check_choice(name, value, get_args(typ))
 
     def with_seed(self, seed: int) -> "TrainConfig":
         return replace(self, seed=seed)

@@ -15,6 +15,7 @@ from .graph import Graph
 
 __all__ = [
     "LinkPredSplit",
+    "check_fraction",
     "make_split",
     "cosine_scores",
     "rank_auc",
@@ -37,6 +38,12 @@ class LinkPredSplit:
     seed: int
 
 
+def check_fraction(fraction: float) -> None:
+    """Raise ValueError unless the holdout ``fraction`` is in (0, 1)."""
+    if not 0 < fraction < 1:
+        raise ValueError(f"fraction must be in (0, 1), got {fraction!r}")
+
+
 def make_split(
     g: Graph,
     fraction: float = 0.1,
@@ -56,8 +63,7 @@ def make_split(
     Negatives are distinct non-edges of the ORIGINAL graph, drawn uniformly
     and matched 1:1: the first ones accepted, in draw order, then sorted.
     """
-    if not 0 < fraction < 1:
-        raise ValueError("fraction must be in (0, 1)")
+    check_fraction(fraction)
     m = g.edge_count
     # epsilon guards floor against IEEE artifacts like 0.3 * 10 = 2.999...96
     target = int(np.floor(fraction * m + 1e-9))

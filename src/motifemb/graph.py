@@ -17,6 +17,7 @@ __all__ = [
     "load_edge_list",
     "write_edge_list",
     "graph_stats",
+    "check_swaps_per_edge",
     "null_model_rewire",
 ]
 
@@ -254,6 +255,12 @@ def graph_stats(g: Graph) -> GraphStats:
     )
 
 
+def check_swaps_per_edge(swaps_per_edge: int) -> None:
+    """Raise ValueError unless the rewiring attempts at least 1 swap per edge."""
+    if swaps_per_edge < 1:
+        raise ValueError(f"swaps_per_edge must be >= 1, got {swaps_per_edge!r}")
+
+
 def null_model_rewire(g: Graph, swaps_per_edge: int, seed: int) -> Graph:
     """Degree-preserving randomization by attempted double-edge swaps.
 
@@ -264,8 +271,7 @@ def null_model_rewire(g: Graph, swaps_per_edge: int, seed: int) -> Graph:
     """
     if g.edge_count < 2:
         raise ValueError("need at least 2 edges to rewire")
-    if swaps_per_edge < 1:
-        raise ValueError("swaps_per_edge must be >= 1")
+    check_swaps_per_edge(swaps_per_edge)
     rng = np.random.default_rng(seed)
     n, m = g.node_count, g.edge_count
     attempts = swaps_per_edge * m

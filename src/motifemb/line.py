@@ -11,7 +11,7 @@ from .graph import Graph
 from .motifs import WEIGHTS_MISMATCH, WeightedAdjacency, check_same_graph
 from .sgns import NOISE_POWER, CumulativeSampler, train_pairs
 
-__all__ = ["edge_sampling_tables", "train_line"]
+__all__ = ["check_concat_dim", "edge_sampling_tables", "train_line"]
 
 
 def edge_sampling_tables(g: Graph, weights: WeightedAdjacency):
@@ -31,6 +31,13 @@ def edge_sampling_tables(g: Graph, weights: WeightedAdjacency):
     return edge_cum, noise
 
 
+def check_concat_dim(config: TrainConfig) -> None:
+    """Raise ValueError when ``config`` asks for the "concat" order at an odd
+    ``dim``, which its two halves cannot split."""
+    if config.line_order == "concat" and config.dim % 2:
+        raise ValueError(f"concat order needs an even dimension, got dim {config.dim}")
+
+
 def train_line(
     g: Graph,
     weights: WeightedAdjacency,
@@ -47,9 +54,8 @@ def train_line(
     ``train_pairs`` twice, first order then second, each at half of ``dim``
     on its own spawned seed with the same samplers, and concatenates them.
     """
+    check_concat_dim(config)
     if config.line_order == "concat":
-        if config.dim % 2:
-            raise ValueError("concat order needs an even dimension")
         orders, seeds = ("first", "second"), np.random.SeedSequence(config.seed).spawn(2)
     else:
         orders, seeds = (config.line_order,), (config.seed,)

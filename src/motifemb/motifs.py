@@ -4,11 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 import scipy.sparse as sp
 
+from .config import check_choice
 from .graph import Graph, null_model_rewire
 
 __all__ = [
@@ -20,6 +21,7 @@ __all__ = [
     "build_motif_adjacency",
     "TransitionModel",
     "build_transition_model",
+    "check_mode",
     "uniform_transitions",
 ]
 
@@ -168,6 +170,12 @@ def _transitions(g: Graph, masses: np.ndarray) -> TransitionModel:
     return TransitionModel(g, probs, masses)
 
 
+def check_mode(mode: str) -> None:
+    """Raise ValueError unless ``mode`` is a ``MotifMode``: "strict" or
+    "smoothed" (see ``build_transition_model``)."""
+    check_choice("mode", mode, get_args(MotifMode))
+
+
 def build_transition_model(
     g: Graph,
     stats: MotifStats,
@@ -183,15 +191,14 @@ def build_transition_model(
     every edge, so all neighbors stay reachable.
     """
     check_same_graph(g, stats.graph, STATS_MISMATCH)
+    check_mode(mode)
     if mode == "strict":
         masses = stats.edge_values[g.edge_ids].astype(np.float64)
         # a node's incident edge motif degrees sum to twice its node degree
         dead = (stats.node_degree == 0) & (g.degrees > 0)
         masses[np.repeat(dead, g.degrees)] = 1.0
-    elif mode == "smoothed":
-        masses = _motif_weights(stats)[g.edge_ids]
     else:
-        raise ValueError(f"unknown transition mode: {mode!r}")
+        masses = _motif_weights(stats)[g.edge_ids]
     return _transitions(g, masses)
 
 

@@ -12,9 +12,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+import numbers
 from dataclasses import asdict
 from itertools import product
-from typing import get_args
 
 import numpy as np
 
@@ -29,29 +30,30 @@ from .evaluation import (
     silhouette_score,
 )
 from .graph import Graph
-from .line import train_line
+from .line import check_concat_dim, train_line
 from .motifs import (
-    MotifMode,
     MotifStats,
     build_motif_adjacency,
     build_transition_model,
+    check_mode,
     count_triangles,
     uniform_transitions,
     unit_adjacency,
 )
 from .sgns import train_sgns
-from .spectral import train_spectral
+from .spectral import check_dim, train_spectral
 from .walks import generate_walks, node2vec_walks
 
 __all__ = [
     "ALGORITHMS",
     "VARIANTS",
-    "MODES",
     "REPORT_COLUMNS",
     "embed_graph",
     "linkpred_row",
     "cluster_row",
     "run_report",
+    "check_clusters",
+    "check_threshold",
     "check_list",
     "summarize_rows",
     "gap_table",
@@ -61,7 +63,6 @@ __all__ = [
 
 ALGORITHMS = ("deepwalk", "node2vec", "line", "spectral")
 VARIANTS = ("base", "mo")
-MODES = get_args(MotifMode)
 # back-ends whose embedding depends on the graph alone: spectral reads no
 # seed, so a cluster report embeds its graph once per variant for them
 SEED_FREE = ("spectral",)
@@ -132,18 +133,18 @@ def embed_graph(
 def _check_setting(g: Graph, algorithm: str, variant: str, config: TrainConfig,
                    mode: str) -> None:
     """Raise ValueError for a setting ``embed_graph`` cannot train on ``g``:
-    an unknown algorithm, variant or mode, LINE's concat order at an odd
-    ``dim``, or spectral at a ``dim`` not below the node count."""
+    an unknown algorithm or variant, or what the checks of the stages it
+    would run reject: ``motifs.check_mode``, LINE's ``line.check_concat_dim``
+    and spectral's ``spectral.check_dim``."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    if mode not in MODES:
-        raise ValueError(f"unknown motif mode {mode!r}, expected one of {MODES}")
-    if algorithm == "line" and config.line_order == "concat" and config.dim % 2:
-        raise ValueError(f"concat order needs an even dimension, got dim {config.dim}")
-    if algorithm == "spectral" and config.dim >= g.node_count:
-        raise ValueError(f"dim {config.dim} must be < node count {g.node_count}")
+    check_mode(mode)
+    if algorithm == "line":
+        check_concat_dim(config)
+    if algorithm == "spectral":
+        check_dim(config.dim, g.node_count)
 
 
 def _blank_row(dataset: str, algorithm: str, variant: str, seed) -> dict:
@@ -217,24 +218,24 @@ def run_report(
     and scores it with one linkpred_row call against the split. Triangles
     are counted once per graph embedded, never without "mo".
     ``threshold`` is read by linkpred rows, ``clusters`` by cluster rows.
-    These raise ValueError before any split, count or embedding:
-    ``clusters`` outside [2, node count], an algorithm, variant or seed
-    list that ``check_list`` rejects, a negative seed, a threshold that
-    is neither None nor finite, and any requested (algorithm, variant)
-    that ``_check_setting`` rejects with this ``config`` and ``mode``.
+    Before any split, count or embedding, ValueError is raised by
+    ``check_clusters`` (cluster task), by ``check_list`` for the
+    algorithm, variant and seed lists, by ``TrainConfig`` for each seed,
+    by ``check_threshold``, and by ``_check_setting`` for each requested
+    (algorithm, variant) with this ``config`` and ``mode``.
     """
     if task not in ("linkpred", "cluster"):
         raise ValueError(f"unknown task {task!r}")
-    if task == "cluster" and not 2 <= clusters <= g.node_count:
-        raise ValueError(f"clusters must be >= 2 and <= the node count {g.node_count}, "
-                         f"got {clusters}")
-    seeds = [int(s) for s in seeds]
+    if task == "cluster":
+        check_clusters(clusters, g.node_count)
+    seeds = list(seeds)
     for values, what, allowed in ((algorithms, "algorithm", ALGORITHMS),
                                   (variants, "variant", VARIANTS), (seeds, "seed", None)):
         check_list(values, what, allowed)
-    configs = {seed: config.with_seed(seed) for seed in seeds}  # rejects a negative seed
-    if threshold is not None and not np.isfinite(threshold):
-        raise ValueError(f"threshold must be None or a finite number, got {threshold!r}")
+    # with_seed rejects a seed TrainConfig rejects; rows hold each seed as an int
+    configs = {int(seed): config.with_seed(seed) for seed in seeds}
+    seeds = list(configs)
+    check_threshold(threshold)
     for algorithm, variant in product(algorithms, variants):
         _check_setting(g, algorithm, variant, config, mode)
     laws: dict[str, list[str]] = {}  # walk law -> the algorithms that run it
@@ -262,6 +263,22 @@ def run_report(
     if len(seeds) > 1:
         rows.extend(summarize_rows(rows))
     return rows
+
+
+def check_clusters(clusters: int, node_count: int | None = None) -> None:
+    """Raise ValueError unless ``clusters`` is at least 2 and, when the
+    graph's ``node_count`` is given, at most that."""
+    if clusters < 2 or (node_count is not None and clusters > node_count):
+        raise ValueError(f"clusters must be >= 2 and <= the node count, got {clusters}")
+
+
+def check_threshold(threshold) -> None:
+    """Raise ValueError unless ``threshold`` is None, which predicts at the
+    median of the pooled scores, or a finite number."""
+    if threshold is not None and not (isinstance(threshold, numbers.Real)
+                                      and math.isfinite(threshold)):
+        raise ValueError(f"threshold must be a finite number or the median, "
+                         f"got {threshold!r}")
 
 
 def check_list(values, what: str, allowed=None, given=None) -> None:

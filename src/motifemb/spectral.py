@@ -10,7 +10,7 @@ from .embedding import EmbeddingMatrix
 from .graph import Graph
 from .motifs import WEIGHTS_MISMATCH, WeightedAdjacency, check_same_graph
 
-__all__ = ["normalized_laplacian", "smallest_eigenpairs", "train_spectral"]
+__all__ = ["check_dim", "normalized_laplacian", "smallest_eigenpairs", "train_spectral"]
 
 RESIDUAL_TOL = 1e-6
 DENSE_CUTOFF = 256  # below this size ARPACK buys nothing over LAPACK
@@ -74,6 +74,13 @@ def _check_residuals(lap, vals, vecs) -> None:
         raise RuntimeError(f"eigenpair residual {worst:.2e} exceeds {RESIDUAL_TOL}")
 
 
+def check_dim(dim: int, node_count: int) -> None:
+    """Raise ValueError unless ``dim`` is below ``node_count``: a graph's
+    Laplacian has only node count - 1 nontrivial eigenvectors."""
+    if dim >= node_count:
+        raise ValueError(f"dim {dim} must be < node count {node_count}")
+
+
 def train_spectral(
     g: Graph,
     weights: WeightedAdjacency,
@@ -92,8 +99,7 @@ def train_spectral(
     the graph ``weights`` was built on, or one with its node count and edges
     (``motifs.check_same_graph``), else ValueError."""
     check_same_graph(g, weights.graph, WEIGHTS_MISMATCH)
-    if dim >= g.node_count:
-        raise ValueError(f"dim {dim} must be < node count {g.node_count}")
+    check_dim(dim, g.node_count)
     n_comp, comp_labels = connected_components(weights.matrix, directed=False)
     # nodes grouped by component, ascending within each, so every component's
     # Laplacian is one contiguous diagonal block of the permuted matrix

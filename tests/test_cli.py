@@ -19,8 +19,17 @@ import pytest
 
 from motifemb import (
     TrainConfig,
+    build_transition_model,
+    count_triangles,
+    embed_graph,
     load_embedding_binary,
     load_embedding_text,
+    make_split,
+    null_model_rewire,
+    run_report,
+    train_line,
+    train_spectral,
+    unit_adjacency,
     write_edge_list,
 )
 from motifemb import cli, pipeline
@@ -124,8 +133,44 @@ class TestRunConfig:
         assert RunConfig().threshold_value() is None
         assert RunConfig(threshold="0.4").threshold_value() == 0.4
         for bad in ("middle", "abc", "nan", "inf", "-inf"):
-            with pytest.raises(ValueError, match="threshold must be 'median' or a finite"):
+            with pytest.raises(ValueError, match="^threshold must be a finite number or the "
+                                                 f"median, got '?{bad}'?$"):
                 RunConfig(threshold=bad).threshold_value()
+
+
+# per setting rule: the call that needs the value, then the pre-flights that
+# reject it before any input is read (RunConfig) or anything is trained
+ODD_DIM = TrainConfig(dim=5)
+SETTING_RULES = {
+    "fraction": (lambda g: make_split(g, 1.5, 0), [lambda g: RunConfig(fraction=1.5)]),
+    "swaps_per_edge": (lambda g: null_model_rewire(g, 0, 0),
+                       [lambda g: RunConfig(swaps_per_edge=0)]),
+    "concat": (lambda g: train_line(g, unit_adjacency(g), ODD_DIM),
+               [lambda g: embed_graph(g, "line", "base", ODD_DIM),
+                lambda g: run_report(g, "toy", "linkpred", ("line",), config=ODD_DIM)]),
+    "spectral-dim": (lambda g: train_spectral(g, unit_adjacency(g), g.node_count),
+                     [lambda g: embed_graph(g, "spectral", "base",
+                                            TrainConfig(dim=g.node_count))]),
+    "mode": (lambda g: build_transition_model(g, count_triangles(g), "bogus"),
+             [lambda g: embed_graph(g, "deepwalk", "mo", mode="bogus"),
+              lambda g: run_report(g, "toy", "cluster", mode="bogus"),
+              lambda g: RunConfig(mode="bogus")]),
+    "clusters": (lambda g: run_report(g, "toy", "cluster", clusters=1),
+                 [lambda g: RunConfig(clusters=1)]),
+    "threshold": (lambda g: run_report(g, "toy", "linkpred", threshold=float("nan")),
+                  [lambda g: RunConfig(threshold="nan").threshold_value()]),
+}
+
+
+@pytest.mark.parametrize("owner, pre_flights", SETTING_RULES.values(), ids=SETTING_RULES)
+def test_owner_and_pre_flights_raise_one_message(owner, pre_flights):
+    g = er_graph(12, 0.4, seed=3)
+    messages = []
+    for call in (owner, *pre_flights):
+        with pytest.raises(ValueError) as raised:
+            call(g)
+        messages.append(str(raised.value))
+    assert len(set(messages)) == 1, messages
 
 
 TRAIN_FIELDS = [f for f in dataclasses.fields(TrainConfig) if f.name != "seed"]
@@ -376,9 +421,11 @@ class TestExitCodes:
         (["linkpred", "--fraction", "2"], "fraction must be in (0, 1)"),
         (["motifs", "--null-model", "2", "--swaps-per-edge", "0"],
          "swaps_per_edge must be >= 1"),
+        (["cluster", "--clusters", "1"], "clusters must be >= 2"),
     ], ids=["linkpred-algorithm", "cluster-variant", "seeds", "threshold",
             "threshold-unparseable", "seeds-negative", "seed-negative",
-            "embed-algorithm", "embed-variant", "embed-out", "fraction", "swaps-per-edge"])
+            "embed-algorithm", "embed-variant", "embed-out", "fraction", "swaps-per-edge",
+            "clusters"])
     def test_bad_setting_is_reported_before_the_input_is_read(self, argv, setting,
                                                               tmp_path, capsys):
         missing = str(tmp_path / "missing.edges")

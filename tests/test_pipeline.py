@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import io
 import json
+from typing import get_args
 
 import numpy as np
 import pytest
@@ -25,10 +26,10 @@ from motifemb import (
     write_report_json,
 )
 from motifemb import Graph, pipeline
+from motifemb.motifs import MotifMode
 from motifemb.pipeline import (
     ALGORITHMS,
     LINKPRED_METRICS,
-    MODES,
     REPORT_COLUMNS,
     VARIANTS,
     cluster_row,
@@ -88,11 +89,18 @@ class TestTrainConfig:
             ("p", float("nan")), ("q", float("nan")), ("p", float("inf")),
             ("q", 1e-310),
             ("line_order", "third"), ("line_samples_factor", 0), ("seed", -1),
+            ("dim", 2.5), ("seed", 1.5), ("epochs", 2.0),
         ],
     )
     def test_invalid_values_rejected(self, field, value):
         with pytest.raises(ValueError):
             TrainConfig(**{field: value})
+
+    def test_integer_fields_take_numpy_integers(self):
+        cfg = TrainConfig(dim=np.int64(8), seed=np.uint8(3))
+        assert (cfg.dim, cfg.seed) == (8, 3)
+        with pytest.raises(ValueError, match=r"^dim must be an integer, got 2\.5$"):
+            TrainConfig(dim=2.5)
 
     def test_with_seed_copies(self):
         cfg = TrainConfig(dim=8)
@@ -161,7 +169,7 @@ class TestEmbedGraph:
             assert np.array_equal(emb.vectors, embs[0].vectors)
 
     @pytest.mark.parametrize("variant", VARIANTS)
-    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("mode", get_args(MotifMode))
     def test_node2vec_at_unit_pq_is_deepwalk(self, small_graph, variant, mode):
         # run_report trains node2vec at p = q = 1 under deepwalk's key
         deepwalk = embed_graph(small_graph, "deepwalk", variant, FAST.with_seed(4), mode)
@@ -372,7 +380,7 @@ class TestRunReport:
             raise AssertionError("embedded before the cluster count was checked")
 
         monkeypatch.setattr(pipeline, "embed_graph", embed_graph)
-        with pytest.raises(ValueError, match="<= the node count 18, got 19"):
+        with pytest.raises(ValueError, match="<= the node count, got 19"):
             run_report(small_graph, "toy", "cluster", algorithms=("spectral",), config=FAST,
                        clusters=small_graph.node_count + 1)
 
@@ -390,18 +398,21 @@ class TestRunReport:
         (dict(seeds=()), "seeds lists no seed"),
         (dict(seeds=(1, 0, 1)), "seeds repeat: 1"),
         (dict(seeds=(0, -1)), "seed must be >= 0, got -1"),
+        (dict(seeds=(1.5,)), r"seed must be an integer, got 1\.5"),
+        (dict(seeds=(0.5, 0.7)), r"seed must be an integer, got 0\.5"),
         (dict(algorithms=()), "algorithms lists no algorithm"),
         (dict(algorithms=("spectral", "grarep")), r"unknown algorithm\(s\): grarep"),
         (dict(algorithms=("line", "spectral", "line")), "algorithms repeat: line"),
         (dict(variants=()), "variants lists no variant"),
         (dict(variants=("mo", "extra")), r"unknown variant\(s\): extra"),
         (dict(variants=("mo", "mo")), "variants repeat: mo"),
-        (dict(mode="bogus"), "unknown motif mode 'bogus'"),
-        (dict(threshold=float("nan")), "threshold must be None or a finite number, got nan"),
+        (dict(mode="bogus"), "unknown mode: 'bogus'"),
+        (dict(threshold=float("nan")), "threshold must be a finite number or the median, got nan"),
         (dict(algorithms=("spectral", "line"), config=dataclasses.replace(FAST, dim=5)),
          "concat order needs an even dimension, got dim 5"),
         (dict(config=dataclasses.replace(FAST, dim=18)), "dim 18 must be < node count 18"),
-    ], ids=["seeds-empty", "seeds-repeat", "seeds-negative", "algorithms-empty",
+    ], ids=["seeds-empty", "seeds-repeat", "seeds-negative", "seed-fractional",
+            "seeds-fractional", "algorithms-empty",
             "algorithms-unknown", "algorithms-repeat", "variants-empty", "variants-unknown",
             "variants-repeat", "mode-unknown", "threshold-nan", "line-concat-odd-dim",
             "spectral-dim-at-node-count"])
