@@ -9,6 +9,8 @@ from typing import Literal, get_args, get_origin, get_type_hints
 __all__ = ["TrainConfig", "check_choice", "field_types"]
 
 LineOrder = Literal["first", "second", "concat"]
+# the values an ``int`` or ``float`` field takes (never a bool), and their name
+_NUMBERS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number")}
 
 
 def field_types(cls) -> dict[str, object]:
@@ -32,9 +34,10 @@ class TrainConfig:
     Every trainer is deterministic given (graph, config) and reads its seed
     from ``seed`` alone; spectral reads no seed. Defaults are recorded into
     each embedding's provenance so results stay reproducible.
-    A field annotated with a ``Literal`` only accepts the listed values, and
-    one annotated ``int`` only integers (numpy's too), in this class and in
-    every subclass.
+    A field annotated with a ``Literal`` only accepts the listed values, one
+    annotated ``int`` only integers and one annotated ``float`` only real
+    numbers (numpy's too, but never a bool), in this class and in every
+    subclass; these types are checked before any bound.
     """
 
     dim: int = 64
@@ -52,6 +55,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name, typ in field_types(type(self)).items():
+            value = getattr(self, name)
+            if get_origin(typ) is Literal:
+                check_choice(name, value, get_args(typ))
+            elif typ in _NUMBERS:
+                kind, what = _NUMBERS[typ]
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise ValueError(f"{name} must be {what}, got {value!r}")
         for name in ("dim", "walks_per_node", "walk_length", "window",
                      "negatives", "epochs", "batch_size", "line_samples_factor"):
             if getattr(self, name) < 1:
@@ -63,12 +74,6 @@ class TrainConfig:
         # node2vec weighs steps by 1/p and 1/q, so those must be finite too
         if not all(0 < v < math.inf and 1 / v < math.inf for v in (self.p, self.q)):
             raise ValueError("p and q and their reciprocals must be finite and > 0")
-        for name, typ in field_types(type(self)).items():
-            value = getattr(self, name)
-            if typ is int and not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if get_origin(typ) is Literal:
-                check_choice(name, value, get_args(typ))
 
     def with_seed(self, seed: int) -> "TrainConfig":
         return replace(self, seed=seed)

@@ -55,9 +55,6 @@ class EmbeddingMatrix:
     def dim(self) -> int:
         return self.vectors.shape[1]
 
-    def row(self, node: int) -> np.ndarray:
-        return self.vectors[node]
-
 
 def _labels_for(emb: EmbeddingMatrix, labels) -> list[str]:
     if labels is None:

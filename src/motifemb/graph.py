@@ -163,8 +163,9 @@ class GraphStats:
     density: float
 
 
-def parse_edge_list(text: str | bytes | io.IOBase | Iterable[str]) -> Graph:
-    """Parse a plain-text edge list into a Graph.
+def parse_edge_list(text: str | Iterable[str]) -> Graph:
+    """Parse a plain-text edge list, given as text or as an iterable of lines
+    (an open text file is one), into a Graph.
 
     Any run of commas and whitespace is one delimiter, and delimiters before
     the first token are dropped, so "a,,b" and ",a b" both read as the edge
@@ -176,12 +177,7 @@ def parse_edge_list(text: str | bytes | io.IOBase | Iterable[str]) -> Graph:
     Raises ParseError on a line with fewer than two tokens or when no edges
     survive.
     """
-    if isinstance(text, bytes):
-        lines: Iterable[str] = text.decode("utf-8").splitlines()
-    elif isinstance(text, str):
-        lines = text.splitlines()
-    else:
-        lines = text
+    lines = text.splitlines() if isinstance(text, str) else text
 
     ids: dict[str, int] = {}
     ends: list[int] = []

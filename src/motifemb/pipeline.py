@@ -332,19 +332,13 @@ def gap_table(rows: list[dict], metric: str) -> str:
     return "\n".join(lines)
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def csv_text(header, rows) -> str:
-    """A header line, then one line per row of cells; float cells are
-    written as their repr, so they parse back to the same float."""
+    """A header line, then one line per row of cells. ``csv.writer`` writes
+    each float as its repr, so it parses back to the same float."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows([_format_cell(cell) for cell in row] for row in rows)
+    writer.writerows(rows)
     return buf.getvalue()
 
 

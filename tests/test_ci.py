@@ -1,6 +1,7 @@
 """The CI workflow runs the tested set: it installs from constraints.txt,
 whose numpy and scipy pins are the versions tests/golden.json was made
-with, on the Python that pyproject.toml requires."""
+with, on the Python that pyproject.toml requires; pyproject.toml's numpy
+and scipy floors are the pinned minor versions."""
 from __future__ import annotations
 
 import json
@@ -35,3 +36,13 @@ def test_ci_runs_the_required_python():
                  if step.get("uses", "").startswith("actions/setup-python")]
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert project["requires-python"] == f">={python}"
+
+
+def test_declared_floors_are_the_tested_versions():
+    # a floor below the pinned minor version would declare versions no run tests
+    deps = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["dependencies"]
+    floors = dict(re.fullmatch(r"([\w.-]+)>=([\d.]+)", dep).groups() for dep in deps)
+    for name in ("numpy", "scipy"):
+        floor = tuple(map(int, floors[name].split(".")))
+        pin = tuple(map(int, pins()[name].split(".")))
+        assert pin >= floor and pin[:2] == floor[:2], (name, floors[name], pins()[name])

@@ -103,6 +103,10 @@ class TestRunConfig:
                             {"dim": 16, "epochs": 2, "window": 7})
         assert (run.dim, run.epochs, run.window) == (4, 3, 7)
 
+    def test_non_number_in_float_field_rejected(self):
+        with pytest.raises(ValueError, match=r"^fraction must be a number, got '0\.1'$"):
+            RunConfig(fraction="0.1")
+
     def test_seed_list(self):
         assert RunConfig(seed=7).seed_list() == [7]
         assert RunConfig(seeds="0, 2,5").seed_list() == [0, 2, 5]

@@ -52,9 +52,8 @@ class TestMatrixInvariants:
         with pytest.raises(ValueError):
             EmbeddingMatrix(np.zeros(5))
 
-    def test_row_accessor(self):
+    def test_shape_properties(self):
         emb = random_embedding(1, 5, 2)
-        assert np.array_equal(emb.row(3), emb.vectors[3])
         assert emb.node_count == 5 and emb.dim == 2
 
 

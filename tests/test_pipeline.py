@@ -33,6 +33,7 @@ from motifemb.pipeline import (
     REPORT_COLUMNS,
     VARIANTS,
     cluster_row,
+    csv_text,
     gap_table,
     linkpred_row,
     summarize_rows,
@@ -90,10 +91,12 @@ class TestTrainConfig:
             ("q", 1e-310),
             ("line_order", "third"), ("line_samples_factor", 0), ("seed", -1),
             ("dim", 2.5), ("seed", 1.5), ("epochs", 2.0),
+            ("learning_rate", "0.1"), ("p", "1"),
+            ("dim", True), ("epochs", True), ("p", True), ("seed", False),
         ],
     )
     def test_invalid_values_rejected(self, field, value):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=rf"\b{field}\b"):
             TrainConfig(**{field: value})
 
     def test_integer_fields_take_numpy_integers(self):
@@ -101,6 +104,10 @@ class TestTrainConfig:
         assert (cfg.dim, cfg.seed) == (8, 3)
         with pytest.raises(ValueError, match=r"^dim must be an integer, got 2\.5$"):
             TrainConfig(dim=2.5)
+
+    def test_float_fields_take_integers(self):
+        cfg = TrainConfig(p=1, q=np.int64(2), learning_rate=np.float32(0.5))
+        assert (cfg.p, cfg.q, cfg.learning_rate) == (1, 2, 0.5)
 
     def test_with_seed_copies(self):
         cfg = TrainConfig(dim=8)
@@ -487,6 +494,9 @@ class TestReportSerialization:
         parsed = dict(zip(reader[0], reader[1]))
         assert float(parsed["precision"]) == 1 / 3  # repr keeps full precision
         assert parsed["sc"] == ""
+
+    def test_csv_writes_a_numpy_float_as_its_number(self):
+        assert csv_text(("x", "y"), [[np.float64(0.5), 1 / 3]]) == f"x,y\n0.5,{1 / 3!r}\n"
 
     def test_json_embeds_config(self):
         payload = json.loads(write_report_json(self.rows(), {"fraction": 0.1}))
