@@ -9,8 +9,9 @@ from typing import Literal, get_args, get_origin, get_type_hints
 __all__ = ["TrainConfig", "check_choice", "field_types"]
 
 LineOrder = Literal["first", "second", "concat"]
-# the values an ``int`` or ``float`` field takes (never a bool), and their name
-_NUMBERS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number")}
+# the values an ``int``, ``float`` or ``str`` field takes (never a bool), and their name
+_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"),
+          str: (str, "a string")}
 
 
 def field_types(cls) -> dict[str, object]:
@@ -35,9 +36,10 @@ class TrainConfig:
     from ``seed`` alone; spectral reads no seed. Defaults are recorded into
     each embedding's provenance so results stay reproducible.
     A field annotated with a ``Literal`` only accepts the listed values, one
-    annotated ``int`` only integers and one annotated ``float`` only real
-    numbers (numpy's too, but never a bool), in this class and in every
-    subclass; these types are checked before any bound.
+    annotated ``int`` only integers, one annotated ``float`` only real
+    numbers (numpy's too, but never a bool) and one annotated ``str`` only
+    strings, in this class and in every subclass; these types are checked
+    before any bound.
     """
 
     dim: int = 64
@@ -59,8 +61,8 @@ class TrainConfig:
             value = getattr(self, name)
             if get_origin(typ) is Literal:
                 check_choice(name, value, get_args(typ))
-            elif typ in _NUMBERS:
-                kind, what = _NUMBERS[typ]
+            elif typ in _KINDS:
+                kind, what = _KINDS[typ]
                 if isinstance(value, bool) or not isinstance(value, kind):
                     raise ValueError(f"{name} must be {what}, got {value!r}")
         for name in ("dim", "walks_per_node", "walk_length", "window",

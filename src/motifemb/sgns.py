@@ -60,7 +60,8 @@ def pair_gradients(center: np.ndarray, pos_ctx: np.ndarray, neg_ctx: np.ndarray)
 
 
 def extract_pairs(corpus: WalkCorpus, window: int) -> tuple[np.ndarray, np.ndarray]:
-    """(center, context) id arrays for every ordered pair within the window.
+    """(center, context) id arrays, in the corpus's int32, for every ordered
+    pair within the window.
 
     Walk by walk, then offset by offset: the pairs (w[i], w[i + off]), then
     (w[i + off], w[i]).
@@ -232,16 +233,22 @@ def train_pairs(
 def train_sgns(corpus: WalkCorpus, config: TrainConfig) -> EmbeddingMatrix:
     """Trains and returns the center-vector matrix (``corpus.node_count`` x
     dim): ``train_pairs`` on one fresh permutation of the window pairs per
-    epoch, against unigram^NOISE_POWER negatives."""
+    epoch, against unigram^NOISE_POWER negatives. The permutation is
+    ``rng.shuffle`` of an int32 ``arange`` (int64 from 2**31 pairs), which
+    draws the values and generator stream of ``rng.permutation`` in half
+    its bytes."""
     centers, contexts = extract_pairs(corpus, config.window)
     if centers.size == 0:
         raise ValueError("corpus yields no training pairs; walks too short?")
     negatives = CumulativeSampler.from_probabilities(noise_distribution(corpus))
     rng = np.random.default_rng(config.seed)
 
+    itype = np.int32 if centers.size < 2**31 else np.int64
+
     def batches():
         for _ in range(config.epochs):
-            perm = rng.permutation(centers.size)
+            perm = np.arange(centers.size, dtype=itype)
+            rng.shuffle(perm)
             for lo in range(0, perm.size, config.batch_size):
                 batch = perm[lo : lo + config.batch_size]
                 yield np.take(centers, batch), np.take(contexts, batch)

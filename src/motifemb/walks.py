@@ -17,8 +17,8 @@ _BLOCK = 1 << 16
 @dataclass(frozen=True, eq=False)
 class WalkCorpus:
     """Node-id walks as the rows of one (walks_per_node * |V|, walk_length)
-    int64 ``tokens`` array on a graph of ``node_count`` nodes; every
-    consecutive pair in a row is a graph edge.
+    int32 ``tokens`` array on a graph of ``node_count`` nodes, so node ids
+    must fit in int32; every consecutive pair in a row is a graph edge.
 
     Rows run pass by pass, each pass in its shuffled start order. A walk
     stops early only at an empty transition row, which only isolated nodes
@@ -69,7 +69,7 @@ def _walks(model: TransitionModel, config: TrainConfig, second_order: bool) -> W
     inv_p, inv_q = 1.0 / config.p, 1.0 / config.q
     # the graph's sorted CSR keys: t is adjacent to x iff t * n + x is one of them
     keys = np.repeat(np.arange(n), deg) * n + g.indices if second_order else None
-    tokens = np.full((config.walks_per_node, n, length), -1, dtype=np.int64)
+    tokens = np.full((config.walks_per_node, n, length), -1, dtype=np.int32)
     for rows in tokens:
         rows[:, 0] = rng.permutation(n)
         live = np.flatnonzero(deg[rows[:, 0]] > 0)
@@ -82,7 +82,8 @@ def _walks(model: TransitionModel, config: TrainConfig, second_order: bool) -> W
                 # order of the 1-D calls, so each row is the one-walker step's
                 for d, at in _degree_blocks(deg[here]):
                     pos = g.indptr[here[at], None] + np.arange(d)
-                    cand, t = g.indices[pos], rows[live[at], step - 2, None]
+                    # int64 t: an int32 t * n overflows from n = 46,341 on
+                    cand, t = g.indices[pos], rows[live[at], step - 2, None].astype(np.int64)
                     key = t * n + cand
                     adjacent = keys[np.minimum(np.searchsorted(keys, key), keys.size - 1)] == key
                     alpha = np.where(cand == t, inv_p, np.where(adjacent, 1.0, inv_q))

@@ -107,6 +107,11 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=r"^fraction must be a number, got '0\.1'$"):
             RunConfig(fraction="0.1")
 
+    @pytest.mark.parametrize("name,value", [("seeds", 5), ("input", 3), ("algorithm", None)])
+    def test_non_string_in_str_field_rejected(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be a string, got {value!r}$"):
+            RunConfig(**{name: value})
+
     def test_seed_list(self):
         assert RunConfig(seed=7).seed_list() == [7]
         assert RunConfig(seeds="0, 2,5").seed_list() == [0, 2, 5]

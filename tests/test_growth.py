@@ -131,3 +131,16 @@ def skewed_peaks(nodes: int, edges: int) -> tuple[int, dict[str, int]]:
 def test_heavy_tailed_stage_memory_is_linear_in_edges():
     # hubs of about 900 and 2,800 neighbours on 9.2k and 36.8k edges
     assert_linear(*skewed_peaks(3000, 12000), *skewed_peaks(12000, 48000))
+
+
+def test_sgns_bytes_per_window_pair():
+    """Node ids are int32 wherever SGNS keeps one per token or pair:
+    extract_pairs peaks at its two id arrays plus one gathered id block
+    and its mask (13 B a pair), train_sgns adds an int32 epoch permutation
+    (19 B); with int64 ids they were 25 and 31 B."""
+    g, _ = planted_partition(**rung(1000))
+    corpus = generate_walks(build_transition_model(g, count_triangles(g)), CONFIG)
+    (centers, _), pairs_peak = traced(lambda: extract_pairs(corpus, CONFIG.window))
+    _, sgns_peak = traced(lambda: train_sgns(corpus, CONFIG))
+    assert pairs_peak / centers.size <= 16
+    assert sgns_peak / centers.size <= 24

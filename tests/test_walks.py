@@ -198,11 +198,12 @@ class TestReference:
         for walker, reference in ((generate_walks, ref.generate_walks),
                                   (node2vec_walks, ref.node2vec_walks)):
             corpus, walks = walker(tm, cfg), reference(g, tm, cfg)
-            assert corpus.tokens.dtype == np.int64
+            assert corpus.tokens.dtype == np.int32
             assert np.array_equal(corpus.tokens, ref.padded(walks, walk_length))
             assert corpus.token_count() == sum(w.size for w in walks)
+            # int32 pairs holding the reference's int64 pairs, value for value
             for got, want in zip(extract_pairs(corpus, window), ref.extract_pairs(walks, window)):
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                assert got.dtype == np.int32 and np.array_equal(got, want)
             assert (noise_distribution(corpus).tobytes()
                     == ref.noise_distribution(walks, g.node_count).tobytes())
 
@@ -244,3 +245,16 @@ class TestHubReference:
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr("motifemb.walks._BLOCK", block)
                     assert np.array_equal(node2vec_walks(tm, cfg).tokens, want), block
+
+
+def test_second_order_keys_do_not_overflow_at_wide_ids():
+    # t * n passes 2**31 once t and n pass 46,340; 500 random edges
+    # (triangles included) join the top 120 of 50,000 ids, all other nodes
+    # isolated, so every adjacency key of a step lies far above int32
+    n, rng = 50_000, np.random.default_rng(1)
+    g = Graph.from_edges(n, rng.integers(n - 120, n, size=(500, 2)))
+    assert n * int(g.indices.min()) >= 2**31
+    tm = uniform_transitions(g)
+    cfg = walk_config(walks_per_node=2, walk_length=10, p=2.0, q=0.5, seed=4)
+    want = ref.padded(ref.node2vec_walks(g, tm, cfg), cfg.walk_length)
+    assert np.array_equal(node2vec_walks(tm, cfg).tokens, want)
