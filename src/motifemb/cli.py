@@ -32,7 +32,7 @@ from typing import Literal, get_args, get_origin
 
 from .config import TrainConfig, field_types
 from .evaluation import check_fraction
-from .graph import ParseError, check_swaps_per_edge, graph_stats, load_edge_list
+from .graph import check_swaps_per_edge, graph_stats, load_edge_list
 from .motifs import MotifMode, count_triangles, null_model_totals
 from .pipeline import (
     ALGORITHMS,
@@ -347,7 +347,7 @@ def run_command(parser: argparse.ArgumentParser, argv, command) -> int:
                      if key in args.run_settings and value is not None)
         args.run_given = frozenset(given)
         return command(RunConfig(**{**args.run_settings, **given}), args)
-    except (ParseError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

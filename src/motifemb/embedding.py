@@ -56,26 +56,18 @@ class EmbeddingMatrix:
         return self.vectors.shape[1]
 
 
-def _labels_for(emb: EmbeddingMatrix, labels) -> list[str]:
+def save_embedding_text(emb: EmbeddingMatrix, path, labels=None) -> None:
+    lines = [f"# {key}={value}" for key, value in emb.provenance.items()]
+    lines.append(f"{emb.node_count} {emb.dim}")
     if labels is None:
-        return [str(i) for i in range(emb.node_count)]
-    if len(labels) != emb.node_count:
+        labels = range(emb.node_count)
+    elif len(labels) != emb.node_count:
         raise ValueError("label count does not match embedding rows")
-    out = [str(x) for x in labels]
-    for label in out:
+    for label, row in zip([str(x) for x in labels], emb.vectors):
         # a row is read back as whitespace-split fields, label first
         if label.split() != [label]:
             raise ValueError(f"label {label!r} is empty or holds whitespace, "
                              "so its row would not load back")
-    return out
-
-
-def save_embedding_text(emb: EmbeddingMatrix, path, labels=None) -> None:
-    lines = []
-    for key, value in emb.provenance.items():
-        lines.append(f"# {key}={value}")
-    lines.append(f"{emb.node_count} {emb.dim}")
-    for label, row in zip(_labels_for(emb, labels), emb.vectors):
         lines.append(label + " " + " ".join(map(repr, row.tolist())))
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -83,39 +75,38 @@ def save_embedding_text(emb: EmbeddingMatrix, path, labels=None) -> None:
 def load_embedding_text(path) -> tuple[EmbeddingMatrix, list[str]]:
     """Returns the matrix and the node labels in row order.
 
-    Provenance comments are parsed back into the matrix's provenance dict
-    (values as strings).
+    Of the stripped, non-blank lines, those before the first one that does
+    not start with '#' are provenance comments; each ``key=value`` one is
+    parsed back into the matrix's provenance dict (values as strings). That
+    line is the "n d" header, and every later line is a row, read in file
+    order: the first row with the wrong width or an unreadable value raises.
     """
-    provenance: dict = {}
-    header = None
-    rows: list[np.ndarray] = []
-    labels: list[str] = []
-    for raw in Path(path).read_text().splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if header is None:
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    provenance[key.strip()] = value.strip()
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"bad header line: {line!r}")
-            header = (int(parts[0]), int(parts[1]))
-            continue
-        parts = line.split()
-        if len(parts) != header[1] + 1:
-            raise ValueError(f"expected {header[1]} values for node {parts[0]!r}")
-        labels.append(parts[0])
-        rows.append(np.array([float(x) for x in parts[1:]], dtype=np.float64))
-    if header is None:
+    lines = [line for line in map(str.strip, Path(path).read_text().splitlines()) if line]
+    start = next((i for i, line in enumerate(lines) if not line.startswith("#")), len(lines))
+    if start == len(lines):
         raise ValueError("missing 'n d' header line")
-    if len(rows) != header[0]:
-        raise ValueError(f"header declares {header[0]} rows, found {len(rows)}")
-    vectors = np.vstack(rows) if rows else np.zeros((0, header[1]))
+    provenance = {}
+    for comment in lines[:start]:
+        key, eq, value = comment[1:].partition("=")
+        if eq:
+            provenance[key.strip()] = value.strip()
+    fields = lines[start].split()
+    if len(fields) != 2:
+        raise ValueError(f"bad header line: {lines[start]!r}")
+    n, d = map(int, fields)
+    labels: list[str] = []
+    values: list[float] = []
+    for line in lines[start + 1:]:
+        label, *row = line.split()
+        if len(row) != d:
+            raise ValueError(f"expected {d} values for node {label!r}")
+        labels.append(label)
+        values.extend(map(float, row))
+    if len(labels) != n:
+        raise ValueError(f"header declares {n} rows, found {len(labels)}")
+    # np.empty refuses a negative d, which reshape would read as "infer"
+    vectors = np.empty((n, d))
+    vectors.flat = values
     vectors.setflags(write=False)
     return EmbeddingMatrix(vectors, provenance), labels
 

@@ -223,18 +223,13 @@ def write_edge_list(g: Graph, path_or_buf: str | Path | io.TextIOBase) -> None:
     seen[first[1:][first[1:] > np.arange(1, g.node_count)]] = True
     intro = g.edge_ids[g.indptr[1:-1][~seen[1:]]]
     order = np.concatenate([intro, np.setdiff1d(np.arange(g.edge_count), intro)])
-
-    def _dump(fh) -> None:
-        for u, v in g.edges[order].tolist():
-            head = g.label_of(u)
-            escape = "," if head.startswith(COMMENT_PREFIXES) else ""
-            fh.write(f"{escape}{head} {g.label_of(v)}\n")
-
+    names = [g.label_of(node) for node in range(g.node_count)]
+    heads = ["," + name if name.startswith(COMMENT_PREFIXES) else name for name in names]
+    text = "".join(f"{heads[u]} {names[v]}\n" for u, v in g.edges[order].tolist())
     if isinstance(path_or_buf, (str, Path)):
-        with open(path_or_buf, "w", encoding="utf-8") as fh:
-            _dump(fh)
+        Path(path_or_buf).write_text(text, encoding="utf-8")
     else:
-        _dump(path_or_buf)
+        path_or_buf.write(text)
 
 
 def graph_stats(g: Graph) -> GraphStats:
@@ -245,7 +240,7 @@ def graph_stats(g: Graph) -> GraphStats:
     return GraphStats(
         num_nodes=n,
         num_edges=m,
-        max_degree=int(degs.max()) if n else 0,
+        max_degree=int(degs.max()),
         avg_degree=2.0 * m / n,
         density=density,
     )

@@ -69,7 +69,7 @@ def _fix_signs(vecs: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 
 def _check_residuals(lap, vals, vecs) -> None:
     res = lap @ vecs - vecs * vals[None, :]
-    worst = float(np.linalg.norm(res, axis=0).max()) if vals.size else 0.0
+    worst = float(np.linalg.norm(res, axis=0).max())
     if worst > RESIDUAL_TOL:
         raise RuntimeError(f"eigenpair residual {worst:.2e} exceeds {RESIDUAL_TOL}")
 

@@ -1,6 +1,7 @@
 """EmbeddingMatrix invariants plus text/binary serialization round trips."""
 from __future__ import annotations
 
+import re
 import struct
 
 import numpy as np
@@ -123,6 +124,38 @@ class TestTextFormat:
         path.write_text("# only=comments\n")
         with pytest.raises(ValueError, match="header"):
             load_embedding_text(path)
+
+    @pytest.mark.parametrize("rows,message", [
+        ("a 1.0 x\nb 1.0\n", "could not convert string to float: 'x'"),
+        ("a 1.0\nb 1.0 x\n", "expected 2 values for node 'a'"),
+    ], ids=["value-then-width", "width-then-value"])
+    def test_first_bad_row_in_file_order_raises(self, tmp_path, rows, message):
+        # rows are checked and converted one at a time, so a later row's
+        # fault never masks an earlier row's
+        path = tmp_path / "e.txt"
+        path.write_text("2 2\n" + rows)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_embedding_text(path)
+
+    @pytest.mark.parametrize("text,shape,names", [
+        ("0 3\n", (0, 3), []),
+        ("2 0\na\nb\n", (2, 0), ["a", "b"]),
+        ("0 0\n", (0, 0), []),
+    ], ids=["no-rows", "no-columns", "neither"])
+    def test_empty_dimensions_load(self, tmp_path, text, shape, names):
+        path = tmp_path / "e.txt"
+        path.write_text(text)
+        back, labels = load_embedding_text(path)
+        assert back.vectors.shape == shape
+        assert labels == names
+
+    def test_blank_lines_and_plain_comments_skipped(self, tmp_path):
+        path = tmp_path / "e.txt"
+        path.write_text("\n# a note\n  \n#  key = v=w \n#\n\n1 2\n\n  a 1.5 -2.0  \n\n")
+        back, labels = load_embedding_text(path)
+        assert back.provenance == {"key": "v=w"}
+        assert labels == ["a"]
+        assert back.vectors.tolist() == [[1.5, -2.0]]
 
 
 class TestBinaryFormat:

@@ -280,12 +280,15 @@ class TestRoundTrip:
         ("a b\n,#x #y\nb #x\n", "a b\nb #x\n,#x #y\n"),
         (",#x y\n", ",#x y\n"),
     ], ids=["two-comment-labels", "leading-comma"])
-    def test_comment_like_first_label_is_escaped(self, text, written):
+    def test_comment_like_first_label_is_escaped(self, text, written, tmp_path):
         g = parse_edge_list(text)
         buf = io.StringIO()
         write_edge_list(g, buf)
         assert buf.getvalue() == written
         assert parse_edge_list(written) == g
+        # a path gets the text a buffer gets
+        write_edge_list(g, tmp_path / "g.edges")
+        assert (tmp_path / "g.edges").read_text(encoding="utf-8") == written
 
     @pytest.mark.parametrize("labels,edges", [
         (("#x", "y"), [(0, 1)]),  # the line introduces both, so "#x" comes first
